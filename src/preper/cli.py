@@ -24,7 +24,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -623,29 +622,21 @@ def _portrait_for(phi: RationalMap, args, default_n_max: Optional[int]) -> Portr
 
 
 def cmd_analyze(args) -> int:
-    selections = _selected_maps(args)
-
-    def work(sel):
-        label, phi, default_n = sel
+    rendered = []
+    for label, phi, default_n in _selected_maps(args):
         portrait = _portrait_for(phi, args, default_n)
         if args.format == "json":
             data = portrait_to_json_dict(portrait)
             if args.height_oracle:
                 data["oracle"] = oracle_to_json_dict(portrait, args.height_oracle)
-            return data
-        if args.format == "dot":
-            return portrait_to_dot(portrait)
-        text = f"== {label} ==\n" + portrait_to_text(portrait)
-        if args.height_oracle:
-            text += oracle_to_text(portrait, args.height_oracle)
-        return text
-
-    if len(selections) == 1:
-        rendered = [work(selections[0])]
-    else:
-        # sweeps fan out across threads; pool.map keeps results in d order
-        with ThreadPoolExecutor(max_workers=min(8, len(selections))) as pool:
-            rendered = list(pool.map(work, selections))
+            rendered.append(data)
+        elif args.format == "dot":
+            rendered.append(portrait_to_dot(portrait))
+        else:
+            text = f"== {label} ==\n" + portrait_to_text(portrait)
+            if args.height_oracle:
+                text += oracle_to_text(portrait, args.height_oracle)
+            rendered.append(text)
     if args.format == "json":
         payload = rendered[0] if len(rendered) == 1 else rendered
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .dynmap import InvariantViolation, RationalMap, apply
-from .forms import BinaryForm, compose_pair, exact_divide, rational_roots, root_multiplicity
+from .forms import BinaryForm, exact_divide, iterate_pairs, rational_roots, root_multiplicity
 from .qarith import ProjPoint, factor
 
 # Degree/period pairs (n, d) for which a degree-d map may have no point of
@@ -38,7 +37,8 @@ def mobius(n: int) -> int:
     if n == 1:
         return 1
     fr = factor(n)
-    assert fr.complete
+    if not fr.complete:
+        raise InvariantViolation(f"could not factor the period {n}")
     if any(e > 1 for _, e in fr.factors):
         return 0
     return -1 if len(fr.factors) % 2 else 1
@@ -49,17 +49,20 @@ def formal_period_degree(d: int, n: int) -> int:
     return sum(mobius(n // k) * (d**k + 1) for k in _divisors(n))
 
 
+def _period_forms(phi: RationalMap, n: int) -> list[BinaryForm]:
+    """Phi_k for k = 1..n, from one walk of the iterate chain."""
+    out = []
+    for Fk, Gk in iterate_pairs(phi.F, phi.G, n):
+        form = BinaryForm((0,) + Fk.coeffs) - BinaryForm(Gk.coeffs + (0,))
+        if form.is_zero:
+            raise InvariantViolation("period form vanished identically")
+        out.append(form.primitive())
+    return out
+
+
 def period_polynomial(phi: RationalMap, n: int) -> BinaryForm:
     """Phi_n = Y*F_n - X*G_n, content- and sign-normalized, degree d^n + 1."""
-    if n < 1:
-        raise ValueError("period must be >= 1")
-    Fn, Gn = compose_pair(phi.F, phi.G, n)
-    y_fn = BinaryForm((0,) + Fn.coeffs)
-    x_gn = BinaryForm(Gn.coeffs + (0,))
-    form = y_fn - x_gn
-    if form.is_zero:
-        raise InvariantViolation("period form vanished identically")
-    return form.primitive()
+    return _period_forms(phi, n)[-1]
 
 
 @dataclass(frozen=True)
@@ -74,34 +77,39 @@ class DynatomicRecord:
         return self.star_form.degree == self.degree_expected
 
 
-@lru_cache(maxsize=None)
-def dynatomic_record(phi: RationalMap, n: int) -> DynatomicRecord:
-    """Phi_n together with Phi*_n, built by one exact division.
+def _record(phi: RationalMap, periods: list[BinaryForm], n: int) -> DynatomicRecord:
+    """Phi*_n from the period forms periods[k - 1] = Phi_k, by one exact division.
 
     The Moebius factors are grouped into a single numerator and denominator
     product first; the division of those two primitive forms must come out
     exact and integral, which is itself a strong self-check.
     """
-    num: Optional[BinaryForm] = None
+    num = periods[n - 1]  # mu(1) = 1
     den: Optional[BinaryForm] = None
-    for k in _divisors(n):
+    for k in _divisors(n)[:-1]:
         mu = mobius(n // k)
-        if mu == 0:
-            continue
-        pk = period_polynomial(phi, k)
         if mu == 1:
-            num = pk if num is None else num * pk
-        else:
-            den = pk if den is None else den * pk
-    assert num is not None
+            num = num * periods[k - 1]
+        elif mu == -1:
+            den = periods[k - 1] if den is None else den * periods[k - 1]
     star = num if den is None else exact_divide(num, den)
-    star = star.primitive()
     return DynatomicRecord(
         n=n,
-        period_form=period_polynomial(phi, n),
-        star_form=star,
+        period_form=periods[n - 1],
+        star_form=star.primitive(),
         degree_expected=formal_period_degree(phi.degree, n),
     )
+
+
+def dynatomic_records(phi: RationalMap, n_max: int) -> tuple[DynatomicRecord, ...]:
+    """The records for n = 1..n_max, all from one walk of the iterate chain."""
+    periods = _period_forms(phi, n_max) if n_max >= 1 else []
+    return tuple(_record(phi, periods, n) for n in range(1, n_max + 1))
+
+
+def dynatomic_record(phi: RationalMap, n: int) -> DynatomicRecord:
+    """Phi_n together with Phi*_n."""
+    return _record(phi, _period_forms(phi, n), n)
 
 
 def dynatomic_polynomial(phi: RationalMap, n: int) -> BinaryForm:
@@ -110,10 +118,7 @@ def dynatomic_polynomial(phi: RationalMap, n: int) -> BinaryForm:
 
 def formal_period_orders(phi: RationalMap, P: ProjPoint, n_max: int) -> dict[int, int]:
     """a*_P(n) = multiplicity of P as a root of Phi*_n, for n = 1..n_max."""
-    return {
-        n: root_multiplicity(dynatomic_record(phi, n).star_form, P)
-        for n in range(1, n_max + 1)
-    }
+    return {rec.n: root_multiplicity(rec.star_form, P) for rec in dynatomic_records(phi, n_max)}
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +223,12 @@ def rational_periodic_points(
     Whole cycles are closed off even if only one member shows up as a root,
     so the result is cycle-closed by construction.
     """
-    rk = root_kwargs or {}
     found: dict[ProjPoint, PeriodicPoint] = {}
     complete = True
-    for n in range(1, n_max + 1):
-        rec = dynatomic_record(phi, n)
-        rr = rational_roots(rec.star_form, **rk)
+    records = dynatomic_records(phi, n_max)
+    for rec in records:
+        n = rec.n
+        rr = rational_roots(rec.star_form, **(root_kwargs or {}))
         complete = complete and rr.complete
         for pt in rr.points():
             if pt in found:
@@ -244,9 +249,7 @@ def rational_periodic_points(
                 )
             lam = multiplier(phi, pt, m)
             for c in cycle:
-                formal = tuple(
-                    k for k, a in formal_period_orders(phi, c, n_max).items() if a > 0
-                )
+                formal = tuple(r.n for r in records if r.star_form.evaluate_point(c) == 0)
                 found[c] = PeriodicPoint(
                     point=c, primitive_period=m, multiplier=lam, formal_periods=formal
                 )

@@ -15,17 +15,13 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .forms import BinaryForm, rational_roots, resultant
-from .qarith import PrimeSet, ProjPoint, Rat, factor, is_prime
+from .qarith import InvariantViolation, PrimeSet, ProjPoint, Rat, factor, is_prime
 
 HEIGHT_ESCAPE = 10**40
 
 
 class DegenerateMapError(ValueError):
     """Input does not define a degree >= 2 endomorphism of P^1."""
-
-
-class InvariantViolation(RuntimeError):
-    """A property the mathematics guarantees failed at runtime: a bug."""
 
 
 @dataclass(frozen=True)

@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .qarith import (
     FactorResult,
+    InvariantViolation,
     ProjPoint,
     divisor_count,
     factor,
@@ -152,41 +153,53 @@ def form_from_poly(coeffs_ascending: list, degree: int) -> BinaryForm:
     return BinaryForm(tuple(out))
 
 
-def substitute(outer: BinaryForm, A: BinaryForm, B: BinaryForm) -> BinaryForm:
-    """outer(A, B) for forms A, B of equal degree: the composition workhorse."""
-    if A.degree != B.degree:
-        raise ValueError("substituted pair must share a degree")
-    d = outer.degree
-    apow: list[BinaryForm] = [BinaryForm((1,))]
-    bpow: list[BinaryForm] = [BinaryForm((1,))]
-    for _ in range(d):
+def substitute_pair(
+    F: BinaryForm, G: BinaryForm, A: BinaryForm, B: BinaryForm
+) -> tuple[BinaryForm, BinaryForm]:
+    """(F(A, B), G(A, B)) from one table of the monomials A^(d-i) B^i, built as needed."""
+    if F.degree != G.degree or A.degree != B.degree:
+        raise ValueError("the forms of a pair must share a degree")
+    d = F.degree
+    apow, bpow = [BinaryForm((1,)), A], [BinaryForm((1,)), B]
+    for _ in range(d - 1):
         apow.append(apow[-1] * A)
         bpow.append(bpow[-1] * B)
-    acc: Optional[BinaryForm] = None
-    for i, c in enumerate(outer.coeffs):
-        if c == 0:
-            continue
-        term = (apow[d - i] * bpow[i]).scale(c)
-        acc = term if acc is None else acc + term
-    if acc is None:
-        return BinaryForm((0,) * (d * A.degree + 1))
-    return acc
+    f_acc = g_acc = BinaryForm((0,) * (d * A.degree + 1))
+    for i, (f, g) in enumerate(zip(F.coeffs, G.coeffs)):
+        if f or g:
+            monomial = apow[d - i] * bpow[i]
+            if f:
+                f_acc = f_acc + monomial.scale(f)
+            if g:
+                g_acc = g_acc + monomial.scale(g)
+    return f_acc, g_acc
+
+
+def substitute(outer: BinaryForm, A: BinaryForm, B: BinaryForm) -> BinaryForm:
+    """outer(A, B): substitute_pair with a zero partner, which costs nothing."""
+    return substitute_pair(outer, BinaryForm((0,) * (outer.degree + 1)), A, B)[0]
+
+
+def iterate_pairs(F: BinaryForm, G: BinaryForm, n: int) -> Iterator[tuple[BinaryForm, BinaryForm]]:
+    """The coordinate forms (F_k, G_k) of the k-th iterate of [F : G], k = 1..n.
+
+    One substitute_pair call per step, and no content division: at good
+    primes none is needed.
+    """
+    if n < 1 or F.degree != G.degree:
+        raise ValueError("need n >= 1 and map coordinates of one degree")
+    Fk, Gk = F, G
+    yield Fk, Gk
+    for _ in range(n - 1):
+        Fk, Gk = substitute_pair(F, G, Fk, Gk)
+        yield Fk, Gk
 
 
 def compose_pair(F: BinaryForm, G: BinaryForm, n: int) -> tuple[BinaryForm, BinaryForm]:
-    """Coordinate forms (F_n, G_n) of the n-th iterate of [F : G].
-
-    No content division is performed: at good primes none is needed, and the
-    raw pair is exactly what the reduction checks want to look at.
-    """
-    if F.degree != G.degree:
-        raise ValueError("map coordinates must share a degree")
-    if n < 1:
-        raise ValueError("iterate count must be >= 1")
-    Fn, Gn = F, G
-    for _ in range(n - 1):
-        Fn, Gn = substitute(F, Fn, Gn), substitute(G, Fn, Gn)
-    return Fn, Gn
+    """(F_n, G_n), the last pair of iterate_pairs."""
+    for pair in iterate_pairs(F, G, n):
+        pass
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +250,8 @@ def resultant(F: BinaryForm, G: BinaryForm) -> int:
         rows.append([0] * i + f + [0] * (n - 1 - i))
     for j in range(m):
         rows.append([0] * j + g + [0] * (m - 1 - j))
-    assert all(len(r) == size for r in rows)
+    if any(len(r) != size for r in rows):
+        raise InvariantViolation("Sylvester matrix is not square")
     return _bareiss_det(rows)
 
 
@@ -264,42 +278,31 @@ def _strip_monomials(f: BinaryForm) -> tuple[int, int, tuple[int, ...]]:
 def exact_divide(f: BinaryForm, g: BinaryForm) -> BinaryForm:
     """Quotient f / g in Z[X, Y], or raise InexactDivisionError.
 
-    Division is attempted over Q and then checked for integrality, so both a
-    nonzero remainder and a genuinely rational quotient are rejected.
+    Integer long division in descending powers of X: a quotient coefficient
+    that is not an integer raises, and so does a nonzero remainder.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by the zero form")
     if f.degree < g.degree:
         raise InexactDivisionError("degree of divisor exceeds degree of dividend")
-    if f.is_zero:
-        return BinaryForm((0,) * (f.degree - g.degree + 1))
-    fa, fb, fh = _strip_monomials(f)
-    ga, gb, gh = _strip_monomials(g)
-    if ga > fa or gb > fb:
-        raise InexactDivisionError("divisor has a monomial factor the dividend lacks")
-    # univariate long division on the cores, descending coefficients
-    num = [Fraction(c) for c in fh]
-    den = [Fraction(c) for c in gh]
-    dn, dd = len(num) - 1, len(den) - 1
-    if dn < dd:
-        raise InexactDivisionError("divisor core degree exceeds dividend core degree")
-    q = [Fraction(0)] * (dn - dd + 1)
-    for k in range(dn - dd + 1):
-        c = num[k] / den[0]
-        q[k] = c
+    # leading zeros of g are its powers of Y, and f must have them too
+    shift = next(i for i, c in enumerate(g.coeffs) if c)
+    if any(f.coeffs[:shift]):
+        raise InexactDivisionError("divisor has a power of Y the dividend lacks")
+    num = list(f.coeffs[shift:])
+    lead, rest = g.coeffs[shift], g.coeffs[shift + 1 :]
+    q = []
+    for k in range(f.degree - g.degree + 1):
+        c, r = divmod(num[k], lead)
+        if r:
+            raise InexactDivisionError("quotient is not integral")
+        q.append(c)
         if c:
-            for j, dj in enumerate(den):
-                num[k + j] -= c * dj
-    if any(num[dn - dd + 1 :]):
+            for j, dj in enumerate(rest, k + 1):
+                num[j] -= c * dj
+    if any(num[len(q) :]):
         raise InexactDivisionError("nonzero remainder")
-    if any(c.denominator != 1 for c in q):
-        raise InexactDivisionError("quotient is not integral")
-    qa, qb = fa - ga, fb - gb
-    out_deg = f.degree - g.degree
-    out = [0] * (out_deg + 1)
-    for i, c in enumerate(q):
-        out[qb + i] = c.numerator
-    return BinaryForm(tuple(out))
+    return BinaryForm(q)
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +427,6 @@ def rational_roots(
                 if done:
                     break
     found.sort(key=lambda pm: pm[0].sort_key())
-    total_mult = sum(m for _, m in found)
-    assert total_mult <= f.degree
+    if sum(m for _, m in found) > f.degree:
+        raise InvariantViolation("root multiplicities exceed the degree")
     return RootResult(roots=tuple(found), complete=complete)

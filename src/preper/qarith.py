@@ -17,6 +17,10 @@ from typing import Iterable, Iterator, Optional, Union
 Rat = Union[Fraction, int]
 
 
+class InvariantViolation(RuntimeError):
+    """A property the mathematics guarantees failed at runtime: a bug."""
+
+
 class InfiniteValuation:
     """Sentinel for v_p(0) = +infinity.
 
@@ -430,10 +434,12 @@ def log_distance(P1: PointLike, P2: PointLike, p: int) -> Valuation:
     for a, b in ((x1, y1), (x2, y2)):
         va, vb = _int_valuation(a, p), _int_valuation(b, p)
         m = vb if is_infinite(va) else (va if is_infinite(vb) else min(va, vb))
-        assert isinstance(m, int)
+        if not isinstance(m, int):
+            raise InvariantViolation("[0:0] reached the log distance")
         correction += m
     v = _int_valuation(cross, p)
-    assert isinstance(v, int)
+    if not isinstance(v, int):
+        raise InvariantViolation("nonzero cross product with infinite valuation")
     return v - correction
 
 

@@ -1,0 +1,38 @@
+"""Smoke test: the quick demos run to completion.
+
+Demo 02 is left out for its running time; acceptance criteria 1 and 2 and
+test_families cover its families.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "demo",
+    [
+        "01_quadratic_portrait.py",
+        "03_certificates.py",
+        "04_bound_zoo.py",
+        "05_dynatomic.py",
+    ],
+)
+def test_demo_exits_cleanly(demo):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / demo)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from preper import forms
 from preper.dynatomic import (
     BAKER_EXCEPTIONAL_PAIRS,
     baker_degree_check,
@@ -259,6 +260,22 @@ def test_periodic_search_closes_cycles():
     # every member of a found cycle appears, not just the root that exposed it
     res = rational_periodic_points(shifted_product_d2(), 3)
     assert len(res.points) == 3
+
+
+def test_periodic_search_walks_the_iterate_chain_once(monkeypatch):
+    # one substitute_pair call per iterate step: n_max - 1 of them for the
+    # whole search, formal periods included
+    steps = []
+    step = forms.substitute_pair
+
+    def counted(*args):
+        steps.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(forms, "substitute_pair", counted)
+    res = rational_periodic_points(shifted_product_d2(), 6)
+    assert len(res.points) == 3
+    assert len(steps) == 5
 
 
 def test_baker_exceptional_pairs():

@@ -1,7 +1,9 @@
 """Portrait construction, classification, and the brute-force cross-check."""
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -193,6 +195,16 @@ def test_portrait_matches_brute_force_on_random_maps():
             assert rec.kind == "preperiodic"
             if rec.cycle_length <= n_max and port.flags.closed:
                 assert P in pts
+
+
+def test_portrait_releases_its_map():
+    # nothing outside the portrait may hold on to the map it was built for
+    phi = build_map([2, -3, 1], [0, 0, 1])
+    ref = weakref.ref(phi)
+    assert len(build_portrait(phi, 4).periodic) == 3
+    del phi
+    gc.collect()
+    assert ref() is None
 
 
 def test_portrait_points_are_closed_under_the_map():
