@@ -215,9 +215,7 @@ class PeriodicSearchResult:
         return {pp.point: pp for pp in self.points}
 
 
-def rational_periodic_points(
-    phi: RationalMap, n_max: int, *, root_kwargs: Optional[dict] = None
-) -> PeriodicSearchResult:
+def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResult:
     """Search Phi*_n roots for n <= n_max and verify each by iteration.
 
     Whole cycles are closed off even if only one member shows up as a root,
@@ -228,7 +226,7 @@ def rational_periodic_points(
     records = dynatomic_records(phi, n_max)
     for rec in records:
         n = rec.n
-        rr = rational_roots(rec.star_form, **(root_kwargs or {}))
+        rr = rational_roots(rec.star_form)
         complete = complete and rr.complete
         for pt in rr.points():
             if pt in found:

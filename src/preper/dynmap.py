@@ -216,7 +216,7 @@ class PreimageResult:
     complete: bool
 
 
-def preimages(phi: RationalMap, Q: ProjPoint, **root_kwargs) -> PreimageResult:
+def preimages(phi: RationalMap, Q: ProjPoint) -> PreimageResult:
     """All rational P with phi(P) = Q.
 
     Solves y_Q * F - x_Q * G = 0; the form's degree-d root bound caps the
@@ -225,7 +225,7 @@ def preimages(phi: RationalMap, Q: ProjPoint, **root_kwargs) -> PreimageResult:
     H = phi.F.scale(Q.y) - phi.G.scale(Q.x)
     if H.is_zero:
         raise InvariantViolation("preimage form vanished; map must be degenerate")
-    rr = rational_roots(H, **root_kwargs)
+    rr = rational_roots(H)
     pts = rr.points()
     if len(pts) > phi.degree:
         raise InvariantViolation("more preimages than the degree allows")

@@ -21,6 +21,7 @@ from .qarith import (
     ProjPoint,
     divisor_count,
     factor,
+    is_prime,
     iter_divisors,
 )
 
@@ -309,8 +310,12 @@ def exact_divide(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 # rational roots
 # ---------------------------------------------------------------------------
 
-# fixed filter primes for cheap modular rejection of root candidates
-_FILTER_PRIMES = (2305843009213693951, 1000000000000000003)
+# the residue screen of root candidates uses this many small primes, the
+# least ones from _SCREEN_PRIME_MIN up that do not divide the leading
+# coefficient; building it costs about p^2 steps per prime, and a non-root
+# passes a prime with chance about (roots of the core mod p) / p
+_SCREEN_PRIME_COUNT = 3
+_SCREEN_PRIME_MIN = 61
 
 
 @dataclass(frozen=True)
@@ -319,7 +324,8 @@ class RootResult:
 
     complete degrades to False when the leading/trailing coefficient could not
     be fully factored inside the budget or the candidate enumeration was
-    capped; the roots returned are still genuine roots.
+    capped; the roots returned are still genuine roots.  The residue screen
+    of the candidates never rejects a true root, so it has no say in complete.
     """
 
     roots: tuple[tuple[ProjPoint, int], ...]
@@ -343,6 +349,41 @@ def root_multiplicity(f: BinaryForm, P: ProjPoint) -> int:
         m += 1
 
 
+def _roots_mod_p(coeffs: tuple[int, ...], p: int) -> frozenset[int]:
+    """The r in F_p where the polynomial with descending coefficients coeffs vanishes.
+
+    Exponents are first folded modulo x^p - x, which every r in F_p
+    satisfies, so the cost is p^2 + deg steps rather than p * deg.
+    """
+    deg = len(coeffs) - 1
+    folded = [0] * min(deg + 1, p)
+    for i, c in enumerate(coeffs):
+        e = deg - i
+        if e >= p:
+            e = (e - 1) % (p - 1) + 1
+        folded[e] += c
+    folded = [c % p for c in reversed(folded)]
+    roots = []
+    for r in range(p):
+        acc = 0
+        for c in folded:
+            acc = (acc * r + c) % p
+        if acc == 0:
+            roots.append(r)
+    return frozenset(roots)
+
+
+def _residue_screen(core: tuple[int, ...]) -> list[tuple[int, frozenset[int]]]:
+    """(p, roots of core(x, 1) mod p) for the screen primes, none dividing core[0]."""
+    screen = []
+    p = _SCREEN_PRIME_MIN
+    while len(screen) < _SCREEN_PRIME_COUNT:
+        if core[0] % p and is_prime(p):
+            screen.append((p, _roots_mod_p(core, p)))
+        p += 1
+    return screen
+
+
 def _default_factor_budget(n: int) -> dict:
     # rho can only reach ~35-bit factors under any sane budget; on gigantic
     # inputs each step is also expensive, so the budget shrinks with size and
@@ -363,8 +404,11 @@ def rational_roots(
     Method: strip powers of X and Y (roots [0:1] and [1:0]), then run the
     rational root theorem on the remaining core, with candidate numerators
     dividing the trailing coefficient and denominators dividing the leading
-    one.  Candidates are screened modulo two fixed large primes before any
-    exact evaluation.
+    one.  Before any exact evaluation a candidate a/b must reduce, modulo
+    each of a few small primes p not dividing the leading coefficient, to a
+    root of core(x, 1) mod p; those roots are found once per form.  As b
+    divides the leading coefficient it is a unit mod p, and
+    core(a, b) = b^deg * core(a/b, 1), so the screen never drops a true root.
     """
     if f.is_zero:
         raise ValueError("zero form vanishes everywhere")
@@ -388,28 +432,13 @@ def rational_roots(
         if n_cand > candidate_cap:
             complete = False
         core_form = BinaryForm(core)
-        filt = [
-            tuple(c % p for c in core) for p in _FILTER_PRIMES
-        ]
-        degc = len(core) - 1
-
-        def _passes_filter(a: int, b: int) -> bool:
-            for coeffs_mod, p in zip(filt, _FILTER_PRIMES):
-                r = coeffs_mod[0]
-                ypow = 1
-                am, bm = a % p, b % p
-                for c in coeffs_mod[1:]:
-                    ypow = ypow * bm % p
-                    r = (r * am + c * ypow) % p
-                if r != 0:
-                    return False
-            return True
-
+        screen = _residue_screen(core)
         tried = 0
         done = False
         for b in iter_divisors(fr_lead.factors):
             if done:
                 break
+            checks = [(p, pow(b, -1, p), roots) for p, roots in screen]
             for a_abs in iter_divisors(fr_trail.factors):
                 for a in (a_abs, -a_abs):
                     tried += 1
@@ -419,7 +448,7 @@ def rational_roots(
                         break
                     if math.gcd(a_abs, b) != 1:
                         continue
-                    if not _passes_filter(a, b):
+                    if any(a * b_inv % p not in roots for p, b_inv, roots in checks):
                         continue
                     if core_form.evaluate(a, b) == 0:
                         P = ProjPoint(a, b)

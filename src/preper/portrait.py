@@ -120,7 +120,6 @@ def build_portrait(
     n_max: Optional[int] = None,
     *,
     max_points: int = MAX_PORTRAIT_POINTS,
-    root_kwargs: Optional[dict] = None,
 ) -> Portrait:
     """Compute the rational preperiodic portrait of phi.
 
@@ -130,7 +129,7 @@ def build_portrait(
     """
     if n_max is None:
         n_max = default_period_cap(phi.degree)
-    search = rational_periodic_points(phi, n_max, root_kwargs=root_kwargs)
+    search = rational_periodic_points(phi, n_max)
     periodic_points = {pp.point for pp in search.points}
 
     known = set(periodic_points)
@@ -139,7 +138,7 @@ def build_portrait(
     while frontier:
         fresh = []
         for Q in frontier:
-            pre = preimages(phi, Q, **(root_kwargs or {}))
+            pre = preimages(phi, Q)
             preimages_complete = preimages_complete and pre.complete
             for P in sorted(pre.points, key=ProjPoint.sort_key):
                 if P not in known:

@@ -4,6 +4,7 @@ import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +27,7 @@ from preper.qarith import ProjPoint
 
 
 F = Fraction
+DATA = Path(__file__).resolve().parent / "data"
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +215,20 @@ def test_json_output_is_bit_stable(capsys):
     assert capsys.readouterr().out == first
     data = json.loads(first)
     assert json.dumps(data, sort_keys=True, indent=2) + "\n" == first
+
+
+@pytest.mark.parametrize(
+    "argv, recorded",
+    [
+        (["--family", "ex51", "--d-range", "1:3"], "analyze_ex51_d1-3.json"),
+        (["--map", "(2*x^3-7*x+5)/(3*x^2+11)", "--max-period", "4"], "analyze_cubic_n4.json"),
+    ],
+)
+def test_json_output_matches_recorded_bytes(capsys, argv, recorded):
+    # recorded before the residue screen of root candidates; a change that
+    # is meant only to be faster must keep these documents byte for byte
+    assert main(["analyze", *argv, "--format", "json"]) == 0
+    assert capsys.readouterr().out == (DATA / recorded).read_text()
 
 
 def test_json_points_listed_in_canonical_order(capsys):

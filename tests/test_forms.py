@@ -12,7 +12,10 @@ from fractions import Fraction
 import pytest
 
 from preper.forms import (
+    _SCREEN_PRIME_COUNT,
+    _SCREEN_PRIME_MIN,
     BinaryForm,
+    _residue_screen,
     InexactDivisionError,
     compose_pair,
     exact_divide,
@@ -21,7 +24,7 @@ from preper.forms import (
     resultant,
     substitute,
 )
-from preper.qarith import ProjPoint
+from preper.qarith import ProjPoint, divisor_count, factor
 
 
 # ---------------------------------------------------------------------------
@@ -372,3 +375,75 @@ def test_rational_roots_respects_candidate_cap():
     f = BinaryForm((2 * 3 * 5 * 7 * 11 * 13, 1, 1, 2 * 3 * 5 * 7 * 11 * 13))
     rr = rational_roots(f, candidate_cap=10)
     assert not rr.complete
+
+
+def _is_prime_by_trial(n):
+    return n >= 2 and all(n % q for q in range(2, math.isqrt(n) + 1))
+
+
+def test_residue_screen_matches_brute_evaluation():
+    # cores of degree below and above the screen primes, so that the fold
+    # modulo x^p - x runs; some leading coefficients are divisible by the
+    # least primes, so that the screen must skip them
+    rng = random.Random(3)
+    skip = 61 * 67 * 71
+    folded = skipped = 0
+    for trial in range(60):
+        deg = rng.choice((rng.randrange(1, 40), rng.randrange(90, 220)))
+        f = BinaryForm((rng.randrange(1, 10**6),))
+        for _ in range(rng.randrange(0, min(deg, 12) + 1)):
+            f = f * BinaryForm((rng.randrange(1, 50), rng.randrange(-200, 201)))
+        f = f * BinaryForm(
+            tuple(rng.randrange(-(10**30), 10**30) for _ in range(deg - f.degree + 1))
+        )
+        if trial % 3 == 0:
+            f = f.scale(skip)
+        core = f.coeffs
+        if core[0] == 0:
+            continue
+        want_primes = [
+            p for p in range(_SCREEN_PRIME_MIN, 10**4) if _is_prime_by_trial(p) and core[0] % p
+        ][:_SCREEN_PRIME_COUNT]
+        screen = _residue_screen(core)
+        assert [p for p, _ in screen] == want_primes
+        for p, roots in screen:
+            assert roots == {r for r in range(p) if f.evaluate(r, 1) % p == 0}
+        folded += f.degree >= want_primes[-1]
+        skipped += want_primes[0] != _SCREEN_PRIME_MIN
+    assert folded >= 10 and skipped >= 10
+
+
+def test_rational_roots_planted_roots():
+    # products of linear forms (bX - aY) with large denominators and
+    # multiplicities up to 3, times an Eisenstein (at 2) factor, which has
+    # no rational root; its odd leading and trailing parts give the
+    # screen many non-roots to reject
+    rng = random.Random(44)
+    cap = 200_000
+    checked = 0
+    while checked < 12:
+        planted = {}
+        lin = BinaryForm((1,))
+        for _ in range(rng.randrange(1, 5)):
+            b = rng.randrange(1, 10**6 + 1)
+            a = rng.randrange(-(10**6), 10**6 + 1)
+            if math.gcd(a, b) != 1 or ProjPoint(a, b) in planted:
+                continue
+            m = rng.randrange(1, 4)
+            planted[ProjPoint(a, b)] = m
+            lin = lin * BinaryForm((b, -a)).power(m)
+        k = rng.randrange(40, 81) - lin.degree
+        middle = tuple(2 * rng.randrange(-(10**9), 10**9) for _ in range(k - 1))
+        irreducible = BinaryForm((3 * 5 * 7 * 11 * 13,) + middle + (2 * 3 * 5 * 7 * 17,))
+        f = lin * irreducible
+        core = f.primitive().coeffs
+        n_cand = 2 * divisor_count(factor(core[0]).factors) * divisor_count(
+            factor(core[-1]).factors
+        )
+        if n_cand > cap:
+            continue
+        rr = rational_roots(f)
+        assert 40 <= f.degree <= 80
+        assert rr.as_dict() == planted
+        assert rr.complete
+        checked += 1
