@@ -23,9 +23,9 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Iterable, Union
 
-from .dynmap import RationalMap, apply
+from .dynmap import RationalMap, apply, leftover_factor
 from .portrait import Portrait, PortraitCounts, classify
-from .qarith import PrimeSet, ProjPoint, is_s_unit, strip_primes
+from .qarith import PrimeSet, ProjPoint, is_s_unit
 
 LN_PRECISION = 40
 
@@ -122,13 +122,7 @@ def check_image_normalization(phi: RationalMap, points: Iterable[ProjPoint]) -> 
     """
     for P in points:
         g = math.gcd(phi.F.evaluate_point(P), phi.G.evaluate_point(P))
-        g = strip_primes(g, phi.bad_primes)
-        if phi.res_cofactor is not None:
-            c = math.gcd(g, phi.res_cofactor)
-            while c > 1:
-                g //= c
-                c = math.gcd(g, phi.res_cofactor)
-        if g != 1:
+        if leftover_factor(phi, g) != 1:
             return False
     return True
 

@@ -578,11 +578,17 @@ def oracle_to_text(portrait: Portrait, height: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _selected_maps(args) -> list[tuple[str, RationalMap, Optional[int]]]:
+def _selected_maps(args) -> list[tuple[Optional[str], Optional[RationalMap], Optional[int]]]:
     """Resolve --map / --family [--d | --d-range] to labeled maps.
 
     Returns (label, map, default n_max) triples in deterministic order.
+    `bounds` with --s, or with neither --map nor --family, selects no map:
+    its one triple is (None, None, None), for the bound formulas alone.
     """
+    if "s" in args and (args.s is not None or args.map is None and args.family is None):
+        if args.s is None or args.d is None:
+            raise MapSyntaxError("formula-only mode needs both --s and --d", 0)
+        return [(None, None, None)]
     if args.map is not None:
         expr = parse_map(args.map)
         return [(args.map, map_from_expr(expr), None)]
@@ -616,95 +622,75 @@ def _emit(text: str, out_path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _portrait_for(phi: RationalMap, args, default_n_max: Optional[int]) -> Portrait:
-    n_max = args.max_period if args.max_period is not None else default_n_max
-    return build_portrait(phi, n_max)
-
-
-def cmd_analyze(args) -> int:
-    rendered = []
-    for label, phi, default_n in _selected_maps(args):
-        portrait = _portrait_for(phi, args, default_n)
-        if args.format == "json":
-            data = portrait_to_json_dict(portrait)
-            if args.height_oracle:
-                data["oracle"] = oracle_to_json_dict(portrait, args.height_oracle)
-            rendered.append(data)
-        elif args.format == "dot":
-            rendered.append(portrait_to_dot(portrait))
-        else:
-            text = f"== {label} ==\n" + portrait_to_text(portrait)
-            if args.height_oracle:
-                text += oracle_to_text(portrait, args.height_oracle)
-            rendered.append(text)
+def _render_analyze(portrait: Portrait, args) -> Union[dict, str]:
     if args.format == "json":
-        payload = rendered[0] if len(rendered) == 1 else rendered
+        data = portrait_to_json_dict(portrait)
+        if args.height_oracle:
+            data["oracle"] = oracle_to_json_dict(portrait, args.height_oracle)
+        return data
+    if args.format == "dot":
+        return portrait_to_dot(portrait)
+    text = portrait_to_text(portrait)
+    if args.height_oracle:
+        text += oracle_to_text(portrait, args.height_oracle)
+    return text
+
+
+def _render_bounds(portrait: Optional[Portrait], args) -> Union[dict, str]:
+    """The bounds checked against the portrait, or the formulas alone without one."""
+    if portrait is None:
+        report, items = evaluate_bounds(args.s, args.d), None
+    else:
+        report = evaluate_bounds(portrait.phi.bad_primes.s, portrait.phi.degree)
+        items = check_bounds(classify(portrait), report)
+    if args.format == "json":
+        return bounds_to_json_dict(report, items)
+    return bounds_to_text(report, items)
+
+
+def _render_certify(portrait: Portrait, args) -> Union[dict, str]:
+    bundle = make_certificates(portrait)
+    if args.format == "json":
+        return certificates_to_json_dict(bundle)
+    return certificates_to_text(bundle)
+
+
+def _render_oracle(portrait: Portrait, args) -> Union[dict, str]:
+    if args.format == "json":
+        return oracle_to_json_dict(portrait, args.height_oracle)
+    return oracle_to_text(portrait, args.height_oracle)
+
+
+def _run(args) -> int:
+    """Every subcommand: build and render each selected portrait, then write once.
+
+    JSON is one document, or a list of them for several maps; text puts
+    each piece under its label; DOT pieces are concatenated.
+    """
+    pieces = []
+    for label, phi, default_n in _selected_maps(args):
+        portrait = None
+        if phi is not None:
+            n_max = args.max_period if args.max_period is not None else default_n
+            portrait = build_portrait(phi, n_max)
+        piece = args.render(portrait, args)
+        if args.format == "text" and label is not None:
+            piece = f"== {label} ==\n" + piece
+        pieces.append(piece)
+    if args.format == "json":
+        payload = pieces[0] if len(pieces) == 1 else pieces
         _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
     else:
-        _emit("".join(rendered), args.out)
+        _emit("".join(pieces), args.out)
     return EXIT_OK
 
 
-def cmd_bounds(args) -> int:
-    if args.s is not None or args.map is None and args.family is None:
-        if args.s is None or args.d is None:
-            raise MapSyntaxError("formula-only mode needs both --s and --d", 0)
-        report = evaluate_bounds(args.s, args.d)
-        text = (
-            json.dumps(bounds_to_json_dict(report, None), sort_keys=True, indent=2) + "\n"
-            if args.format == "json"
-            else bounds_to_text(report, None)
-        )
-        _emit(text, args.out)
-        return EXIT_OK
-    pieces = []
-    for label, phi, default_n in _selected_maps(args):
-        portrait = _portrait_for(phi, args, default_n)
-        report = evaluate_bounds(phi.bad_primes.s, phi.degree)
-        items = check_bounds(classify(portrait), report)
-        if args.format == "json":
-            pieces.append(json.dumps(bounds_to_json_dict(report, items), sort_keys=True, indent=2) + "\n")
-        else:
-            pieces.append(f"== {label} ==\n" + bounds_to_text(report, items))
-    _emit("".join(pieces), args.out)
-    return EXIT_OK
-
-
-def cmd_certify(args) -> int:
-    pieces = []
-    for label, phi, default_n in _selected_maps(args):
-        bundle = make_certificates(_portrait_for(phi, args, default_n))
-        if args.format == "json":
-            pieces.append(json.dumps(certificates_to_json_dict(bundle), sort_keys=True, indent=2) + "\n")
-        else:
-            pieces.append(f"== {label} ==\n" + certificates_to_text(bundle))
-    _emit("".join(pieces), args.out)
-    return EXIT_OK
-
-
-def cmd_oracle(args) -> int:
-    pieces = []
-    for label, phi, default_n in _selected_maps(args):
-        portrait = _portrait_for(phi, args, default_n)
-        if args.format == "json":
-            pieces.append(
-                json.dumps(oracle_to_json_dict(portrait, args.height_oracle), sort_keys=True, indent=2)
-                + "\n"
-            )
-        else:
-            pieces.append(f"== {label} ==\n" + oracle_to_text(portrait, args.height_oracle))
-    _emit("".join(pieces), args.out)
-    return EXIT_OK
-
-
-def _add_map_flags(p: argparse.ArgumentParser, d_range: bool = False) -> None:
-    p.add_argument("--map", help="rational map expression in x")
-    p.add_argument("--family", choices=["ex51", "ex52"], help="built-in family")
-    p.add_argument("--d", type=int, help="family parameter")
-    if d_range:
-        p.add_argument("--d-range", dest="d_range", help="family parameter sweep A:B")
-    p.add_argument("--max-period", dest="max_period", type=int, help="cycle-length horizon")
-    p.add_argument("--out", help="write output to this file instead of stdout")
+_COMMANDS = (
+    ("analyze", "compute a full preperiodic portrait", _render_analyze),
+    ("bounds", "evaluate and check the cardinality bounds", _render_bounds),
+    ("certify", "emit S-unit certificates for a portrait", _render_certify),
+    ("oracle", "diff the portrait against brute-force search", _render_oracle),
+)
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -713,42 +699,45 @@ def make_parser() -> argparse.ArgumentParser:
         description="exact rational preperiodic portraits, certificates, and bounds",
     )
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="compute a full preperiodic portrait")
-    _add_map_flags(p, d_range=True)
-    p.add_argument("--format", choices=["text", "json", "dot"], default="text")
-    p.add_argument(
-        "--height-oracle",
-        dest="height_oracle",
-        type=int,
-        default=0,
-        help="also brute-force points up to this height and diff",
-    )
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("bounds", help="evaluate and check the cardinality bounds")
-    _add_map_flags(p)
-    p.add_argument("--s", type=int, help="formula-only: number of places including infinity")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("certify", help="emit S-unit certificates for a portrait")
-    _add_map_flags(p)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("oracle", help="diff the portrait against brute-force search")
-    _add_map_flags(p)
-    p.add_argument("--height-oracle", dest="height_oracle", type=int, default=25)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_oracle)
+    for name, help_text, render in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--map", help="rational map expression in x")
+        p.add_argument("--family", choices=["ex51", "ex52"], help="built-in family")
+        p.add_argument("--d", type=int, help="family parameter")
+        if name == "analyze":
+            p.add_argument("--d-range", dest="d_range", help="family parameter sweep A:B")
+        p.add_argument("--max-period", dest="max_period", type=int, help="cycle-length horizon")
+        p.add_argument("--out", help="write output to this file instead of stdout")
+        if name == "bounds":
+            p.add_argument(
+                "--s", type=int, help="formula-only: number of places including infinity"
+            )
+        if name == "oracle":
+            p.add_argument("--height-oracle", dest="height_oracle", type=int, default=25)
+        formats = ["text", "json", "dot"] if name == "analyze" else ["text", "json"]
+        p.add_argument("--format", choices=formats, default="text")
+        if name == "analyze":
+            p.add_argument(
+                "--height-oracle",
+                dest="height_oracle",
+                type=int,
+                default=0,
+                help="also brute-force points up to this height and diff",
+            )
+        p.set_defaults(render=render)
     return top
 
 
+_parser: Optional[argparse.ArgumentParser] = None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = make_parser().parse_args(argv)
+    global _parser
+    if _parser is None:  # once per process, through the module's make_parser binding
+        _parser = make_parser()
+    args = _parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except DegenerateMapError as e:
         print(f"degenerate map: {e}", file=sys.stderr)
         return EXIT_DEGENERATE

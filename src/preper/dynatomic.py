@@ -10,6 +10,7 @@ rational periodic point carries at most two formal periods (m and 2m).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -103,7 +104,7 @@ def _record(phi: RationalMap, periods: list[BinaryForm], n: int) -> DynatomicRec
 
 def dynatomic_records(phi: RationalMap, n_max: int) -> tuple[DynatomicRecord, ...]:
     """The records for n = 1..n_max, all from one walk of the iterate chain."""
-    periods = _period_forms(phi, n_max) if n_max >= 1 else []
+    periods = _period_forms(phi, n_max)
     return tuple(_record(phi, periods, n) for n in range(1, n_max + 1))
 
 
@@ -126,50 +127,22 @@ def formal_period_orders(phi: RationalMap, P: ProjPoint, n_max: int) -> dict[int
 # ---------------------------------------------------------------------------
 
 
-def _eval_asc(p: list[int], t: Fraction) -> Fraction:
-    r = Fraction(0)
-    for c in reversed(p):
-        r = r * t + c
-    return r
-
-
-def _ratderiv(u: list[int], v: list[int], t: Fraction) -> Fraction:
-    """(u/v)'(t) for ascending integer coefficient lists, v(t) != 0."""
-    du = [i * c for i, c in enumerate(u)][1:]
-    dv = [i * c for i, c in enumerate(v)][1:]
-    vt = _eval_asc(v, t)
-    if vt == 0:
-        raise InvariantViolation("chart denominator vanished at evaluation point")
-    return (_eval_asc(du, t) * vt - _eval_asc(u, t) * _eval_asc(dv, t)) / (vt * vt)
-
-
-def _local_derivative(phi: RationalMap, P: ProjPoint, Q: ProjPoint) -> Fraction:
-    """Derivative of phi at P read in affine charts at P and at Q = phi(P).
-
-    Finite points use the z-chart, infinity uses w = 1/z; with the chart at
-    the image chosen by where Q actually lies, every case is a rational
-    function with nonvanishing denominator at the base point.
-    """
-    if not P.is_infinity:
-        t = Fraction(P.x, P.y)
-        u = list(reversed(phi.F.coeffs))  # F(z, 1), ascending
-        v = list(reversed(phi.G.coeffs))
-    else:
-        t = Fraction(0)
-        u = list(phi.F.coeffs)  # F(1, w), ascending
-        v = list(phi.G.coeffs)
-    if Q.is_infinity:
-        u, v = v, u  # image read in the w-chart: w' = G/F
-    return _ratderiv(u, v, t)
+def _partials(f: BinaryForm) -> tuple[BinaryForm, BinaryForm]:
+    """(df/dX, df/dY) of a form of positive degree."""
+    d, c = f.degree, f.coeffs
+    dx = BinaryForm(tuple((d - i) * c[i] for i in range(d)))
+    dy = BinaryForm(tuple(i * c[i] for i in range(1, d + 1)))
+    return dx, dy
 
 
 def multiplier(phi: RationalMap, P: ProjPoint, m: int) -> Fraction:
-    """Multiplier of the length-m cycle through P: the cycle's derivative.
+    """Multiplier of the length-m cycle P_0 = P, ..., P_{m-1}, from the forms.
 
-    Chain rule along the cycle with chart swaps at infinity; chart choices
-    cancel around the loop, so the value is the conjugation invariant.  It is
-    always a finite rational here: each local factor has a nonvanishing
-    chart denominator by construction.
+    Write (F, G)(P_i) = c_i * P_{i+1} in coprime coordinates.  By Euler's
+    identity the differential of (F, G) at P_i sends P_i to d * c_i * P_{i+1},
+    so with J = F_X * G_Y - F_Y * G_X the derivative along the cycle is
+    lambda = prod J(P_i) / (d * c_i^2), the same in every chart; c_i != 0
+    because F and G have no common zero, so lambda is a finite rational.
     """
     cycle = [P]
     cur = apply(phi, P)
@@ -180,9 +153,12 @@ def multiplier(phi: RationalMap, P: ProjPoint, m: int) -> Fraction:
         cur = apply(phi, cur)
     if len(cycle) != m:
         raise ValueError(f"{P} has period {len(cycle)}, not {m}")
+    (FX, FY), (GX, GY) = _partials(phi.F), _partials(phi.G)
+    J = FX * GY - FY * GX
     lam = Fraction(1)
-    for i, Pi in enumerate(cycle):
-        lam *= _local_derivative(phi, Pi, cycle[(i + 1) % m])
+    for Q in cycle:
+        c = math.gcd(phi.F.evaluate_point(Q), phi.G.evaluate_point(Q))
+        lam *= Fraction(J.evaluate_point(Q), phi.degree * c * c)
     return lam
 
 
@@ -221,6 +197,8 @@ def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResu
     Whole cycles are closed off even if only one member shows up as a root,
     so the result is cycle-closed by construction.
     """
+    if n_max < 1:
+        raise ValueError(f"the cycle-length horizon must be at least 1, got {n_max}")
     found: dict[ProjPoint, PeriodicPoint] = {}
     complete = True
     records = dynatomic_records(phi, n_max)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .forms import BinaryForm, rational_roots, resultant
-from .qarith import InvariantViolation, PrimeSet, ProjPoint, Rat, factor, is_prime
+from .qarith import InvariantViolation, PrimeSet, ProjPoint, Rat, factor, is_prime, strip_primes
 
 HEIGHT_ESCAPE = 10**40
 
@@ -54,12 +54,7 @@ def _poly_degree(coeffs: Sequence[Rat]) -> int:
     return deg
 
 
-def build_map(
-    num: Sequence[Rat],
-    den: Sequence[Rat],
-    *,
-    factor_kwargs: Optional[dict] = None,
-) -> RationalMap:
+def build_map(num: Sequence[Rat], den: Sequence[Rat]) -> RationalMap:
     """Build phi(z) = num(z)/den(z) from ascending coefficient lists.
 
     Rational coefficients are cleared to integers, the joint content is
@@ -93,18 +88,9 @@ def build_map(
         raise DegenerateMapError(
             "zero resultant: numerator and denominator share a factor"
         )
-    fr = factor(res, **(factor_kwargs or {}))
+    fr = factor(res)
     bad = PrimeSet(tuple(p for p, _ in fr.factors))
     return RationalMap(F=F, G=G, res=res, bad_primes=bad, res_cofactor=fr.cofactor)
-
-
-def map_from_forms(F: BinaryForm, G: BinaryForm, *, factor_kwargs: Optional[dict] = None) -> RationalMap:
-    """Wrap a prepared pair of equal-degree forms as a map (same validation)."""
-    if F.degree != G.degree:
-        raise DegenerateMapError("coordinate forms must share a degree")
-    num = [F.coeffs[F.degree - i] for i in range(F.degree + 1)]
-    den = [G.coeffs[G.degree - i] for i in range(G.degree + 1)]
-    return build_map(num, den, factor_kwargs=factor_kwargs)
 
 
 def has_good_reduction(phi: RationalMap, p: int) -> bool:
@@ -118,21 +104,20 @@ def has_good_reduction(phi: RationalMap, p: int) -> bool:
     return phi.res % p != 0
 
 
-def _assert_gcd_supported(phi: RationalMap, g: int) -> None:
-    # good reduction forces gcd(F(P), G(P)) to be a product of bad primes;
-    # anything left over after stripping them is an implementation bug
-    for p in phi.bad_primes:
-        while g % p == 0:
-            g //= p
+def leftover_factor(phi: RationalMap, g: int) -> int:
+    """What is left of g > 0 once the certified bad primes are divided out.
+
+    Whatever g shares with the unfactored part of the resultant goes too.
+    Good reduction outside the bad primes makes this 1 for g = gcd(F(P), G(P))
+    at any P in coprime coordinates.
+    """
+    g = strip_primes(g, phi.bad_primes)
     if phi.res_cofactor is not None:
         c = math.gcd(g, phi.res_cofactor)
         while c > 1:
             g //= c
             c = math.gcd(g, phi.res_cofactor)
-    if g != 1:
-        raise InvariantViolation(
-            f"gcd of image pair has a factor {g} outside the bad primes"
-        )
+    return g
 
 
 def apply(phi: RationalMap, P: ProjPoint) -> ProjPoint:
@@ -141,7 +126,9 @@ def apply(phi: RationalMap, P: ProjPoint) -> ProjPoint:
     gx = phi.G.evaluate_point(P)
     if fx == 0 and gx == 0:
         raise InvariantViolation(f"common root at {P} despite nonzero resultant")
-    _assert_gcd_supported(phi, math.gcd(fx, gx))
+    stray = leftover_factor(phi, math.gcd(fx, gx))
+    if stray != 1:  # an implementation bug, never a property of the map
+        raise InvariantViolation(f"gcd of image pair has a factor {stray} outside the bad primes")
     return ProjPoint(fx, gx)
 
 

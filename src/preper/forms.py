@@ -19,7 +19,6 @@ from .qarith import (
     FactorResult,
     InvariantViolation,
     ProjPoint,
-    divisor_count,
     factor,
     is_prime,
     iter_divisors,
@@ -428,9 +427,6 @@ def rational_roots(
         fr_trail: FactorResult = factor(trail, **fk)
         fr_lead: FactorResult = factor(lead, **fk)
         complete = fr_trail.complete and fr_lead.complete
-        n_cand = 2 * divisor_count(fr_trail.factors) * divisor_count(fr_lead.factors)
-        if n_cand > candidate_cap:
-            complete = False
         core_form = BinaryForm(core)
         screen = _residue_screen(core)
         tried = 0

@@ -92,12 +92,6 @@ class Portrait:
         pts = [pp.point for pp in self.periodic] + [t.point for t in self.tails]
         return sorted(pts, key=ProjPoint.sort_key)
 
-    def is_periodic(self, P: ProjPoint) -> bool:
-        return any(pp.point == P for pp in self.periodic)
-
-    def periodic_by_point(self) -> dict[ProjPoint, PeriodicPoint]:
-        return {pp.point: pp for pp in self.periodic}
-
     def cycles(self) -> list[tuple[ProjPoint, ...]]:
         """The cycles, each listed once in orbit order from its least point."""
         remaining = {pp.point for pp in self.periodic}

@@ -231,6 +231,33 @@ def test_json_output_matches_recorded_bytes(capsys, argv, recorded):
     assert capsys.readouterr().out == (DATA / recorded).read_text()
 
 
+@pytest.mark.parametrize(
+    "argv, recorded",
+    [
+        (["analyze", "--family", "ex52", "--d-range", "2:3"], "analyze_ex52_d2-3.txt"),
+        (["analyze", "--family", "ex52", "--d-range", "2:3", "--format", "dot"], "analyze_ex52_d2-3.dot"),
+        (["analyze", "--map", "x^2-x", "--height-oracle", "30"], "analyze_oracle_x2-x.txt"),
+        (
+            ["analyze", "--family", "ex52", "--d-range", "2:3", "--height-oracle", "20", "--format", "json"],
+            "analyze_oracle_ex52_d2-3.json",
+        ),
+        (["certify", "--family", "ex52", "--d", "2"], "certify_ex52_d2.txt"),
+        (["certify", "--family", "ex52", "--d", "2", "--format", "json"], "certify_ex52_d2.json"),
+        (["bounds", "--family", "ex52", "--d", "2"], "bounds_ex52_d2.txt"),
+        (["bounds", "--family", "ex52", "--d", "2", "--format", "json"], "bounds_ex52_d2.json"),
+        (["bounds", "--s", "2", "--d", "3"], "bounds_s2_d3.txt"),
+        (["bounds", "--s", "2", "--d", "3", "--format", "json"], "bounds_s2_d3.json"),
+        (["oracle", "--map", "x^2-x"], "oracle_x2-x.txt"),
+        (["oracle", "--map", "x^2-x", "--format", "json"], "oracle_x2-x.json"),
+    ],
+)
+def test_output_matches_recorded_bytes(capsys, argv, recorded):
+    # every subcommand in every format, recorded before the subcommands
+    # shared one request path
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (DATA / recorded).read_text()
+
+
 def test_json_points_listed_in_canonical_order(capsys):
     assert main(["analyze", "--family", "ex52", "--d", "2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
@@ -400,3 +427,36 @@ def test_max_period_flag_limits_the_search(capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["counts"]["periodic"] == 0
     assert data["completeness"]["n_max"] == 2
+
+
+def test_max_period_below_one_is_rejected(capsys):
+    for horizon in ("0", "-2"):
+        assert main(["analyze", "--map", "x^2", "--max-period", horizon]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err and "at least 1" in captured.err
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
+    built = []
+    make_parser = cli.make_parser
+
+    def counted():
+        built.append(1)
+        return make_parser()
+
+    monkeypatch.setattr(cli, "make_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    # oracle's --height-oracle defaults to 25 and analyze's to 0
+    assert main(["oracle", "--map", "x^2"]) == 0
+    assert capsys.readouterr().out == "== x^2 ==\noracle at height 25: diff empty\n"
+    assert main(["analyze", "--map", "x^2"]) == 0
+    assert "oracle" not in capsys.readouterr().out
+    assert main(["bounds", "--s", "2", "--d", "3"]) == 0
+    assert capsys.readouterr().out == (DATA / "bounds_s2_d3.txt").read_text()
+    # neither --s nor --d of the call before: a portrait check, not formulas
+    assert main(["bounds", "--family", "ex52", "--d", "2"]) == 0
+    assert capsys.readouterr().out == (DATA / "bounds_ex52_d2.txt").read_text()
+    assert main(["bounds"]) == 2
+    assert "needs both --s and --d" in capsys.readouterr().err
+    assert len(built) == 1

@@ -18,7 +18,7 @@ from preper.dynatomic import (
     period_polynomial,
     rational_periodic_points,
 )
-from preper.dynmap import DegenerateMapError, build_map
+from preper.dynmap import DegenerateMapError, apply, build_map
 from preper.forms import BinaryForm
 from preper.qarith import INFINITY, ProjPoint
 
@@ -216,6 +216,75 @@ def test_multiplier_against_oracle_random_fixed_points():
         checked += 1
 
 
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _form_at(coeffs, A, B):
+    """sum of coeffs[i] * A^(d-i) * B^i for linear ascending polynomials A, B."""
+    d = len(coeffs) - 1
+    out = [0] * (d + 1)
+    for i, c in enumerate(coeffs):
+        term = [c]
+        for lin in [A] * (d - i) + [B] * i:
+            term = _poly_mul(term, lin)
+        for k, t in enumerate(term):
+            out[k] += t
+    return out
+
+
+def _conjugate(F, G, a):
+    """psi o [F : G] o psi^-1 for psi(z) = 1/(z - a), as ascending num and den in w.
+
+    psi^-1 [w : 1] = [a*w + 1 : w] and psi [x : y] = [y : x - a*y].
+    """
+    f, g = _form_at(F, [1, a], [0, 1]), _form_at(G, [1, a], [0, 1])
+    return g, [x - a * y for x, y in zip(f, g)]
+
+
+def test_multiplier_matches_quotient_rule_on_random_cycles():
+    # every cycle of length <= 3 of random maps of degree 2 and 3; the cycle
+    # is moved off infinity by a conjugation psi(z) = 1/(z - a), a not on
+    # the cycle, so that each point and its image are finite, and the
+    # multiplier is the product of the conjugate's derivatives along it
+    rng = random.Random(339)
+    seen = {(m, through_inf): 0 for m in (1, 2, 3) for through_inf in (False, True)}
+    for _ in range(300):
+        d = rng.choice([2, 3])
+        F = [rng.randint(-3, 3) for _ in range(d + 1)]
+        G = [rng.randint(-3, 3) for _ in range(d + 1)]
+        num, den = F[::-1], G[::-1]
+        if rng.random() < 0.25:  # plant 0 -> inf -> 1 -> 0 when the values allow
+            G[-1], G[0] = 0, F[0]
+            F[-1] = -sum(F[:-1])
+            num, den = F[::-1], G[::-1]
+            if rng.random() < 0.5:  # or its conjugate -1/2 -> 0 -> -1 -> -1/2
+                num, den = _conjugate(F, G, 2)
+        try:
+            phi = build_map(num, den)
+        except DegenerateMapError:
+            continue
+        cycles = {}
+        for pp in rational_periodic_points(phi, 3).points:
+            cycle = [pp.point]
+            for _ in range(pp.primitive_period - 1):
+                cycle.append(apply(phi, cycle[-1]))
+            cycles.setdefault(frozenset(cycle), cycle)
+        for cycle in cycles.values():
+            a = next(a for a in range(-9, 10) if ProjPoint(a, 1) not in cycle)
+            num, den = _conjugate(phi.F.coeffs, phi.G.coeffs, a)
+            lam = Fraction(1)
+            for P in cycle:
+                lam *= rational_derivative_oracle(num, den, Fraction(P.y, P.x - a * P.y))
+            assert multiplier(phi, cycle[0], len(cycle)) == lam
+            seen[len(cycle), INFINITY in cycle] += 1
+    assert all(seen.values()), seen
+
+
 def test_multiplier_rejects_wrong_period():
     phi = z_squared()
     with pytest.raises(ValueError):
@@ -260,6 +329,12 @@ def test_periodic_search_closes_cycles():
     # every member of a found cycle appears, not just the root that exposed it
     res = rational_periodic_points(shifted_product_d2(), 3)
     assert len(res.points) == 3
+
+
+def test_periodic_search_rejects_a_horizon_below_one():
+    for n_max in (0, -2):
+        with pytest.raises(ValueError):
+            rational_periodic_points(z_squared(), n_max)
 
 
 def test_periodic_search_walks_the_iterate_chain_once(monkeypatch):
