@@ -667,6 +667,9 @@ def _run(args) -> int:
     JSON is one document, or a list of them for several maps; text puts
     each piece under its label; DOT pieces are concatenated.
     """
+    # analyze takes 0 for "no oracle"; checked here, before any portrait is built
+    if getattr(args, "height_oracle", 1) < (1 if args.command == "oracle" else 0):
+        raise ValueError("height bound must be at least 1")
     pieces = []
     for label, phi, default_n in _selected_maps(args):
         portrait = None

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .forms import BinaryForm, rational_roots, resultant
+from .forms import BinaryForm, rational_roots, resultant, resultant_cofactors
 from .qarith import InvariantViolation, PrimeSet, ProjPoint, Rat, factor, is_prime, strip_primes
-
-HEIGHT_ESCAPE = 10**40
 
 
 class DegenerateMapError(ValueError):
@@ -138,14 +136,51 @@ def apply_rational(phi: RationalMap, z: Union[Rat, ProjPoint]) -> ProjPoint:
     return apply(phi, P)
 
 
+def _integer_root(n: int, k: int) -> int:
+    """The largest h >= 0 with h^k <= n, for n >= 0 and k >= 1 (Newton from above)."""
+    if n < 2 or k == 1:
+        return n
+    h = 1 << -(-n.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * h + n // h ** (k - 1)) // k
+        if nxt >= h:
+            return h
+        h = nxt
+
+
+def escape_height(phi: RationalMap) -> int:
+    """A height above which phi provably raises the height at every step.
+
+    With R = Res(F, G) and d = deg phi, resultant_cofactors gives integer
+    forms of degree d - 1 with A_X*F + B_X*G = R*X^(2d-1) and
+    A_Y*F + B_Y*G = R*Y^(2d-1).  Let K be the larger of the coefficient
+    1-norm sums |A_X| + |B_X| and |A_Y| + |B_Y|.  For coprime (x, y) of
+    height H, gcd(F(x, y), G(x, y)) divides R, so H(phi(P)) >= H^d / K
+    (Call and Silverman 1993; Silverman, The Arithmetic of Dynamical
+    Systems, Prop. 2.13 and Thm. 3.11).  The result is the largest h with
+    h^(d-1) <= K: every P with H(P) > h has H(phi(P)) > H(P), so an orbit
+    that passes h never repeats, and every preperiodic point lies at or
+    below h.
+    """
+    d = phi.degree
+    K = 0
+    for k in (0, 2 * d - 1):
+        A, B = resultant_cofactors(phi.F, phi.G, k)
+        K = max(K, sum(abs(c) for c in A.coeffs + B.coeffs))
+    return _integer_root(K, d - 1)
+
+
 @dataclass(frozen=True)
 class OrbitRecord:
-    """Forward orbit of a point until repetition or escape.
+    """Forward orbit of a point until repetition, escape or the step budget.
 
     kind 'preperiodic': points lists the m tail points followed by the n
     cycle points, with phi(points[-1]) == points[m].
-    kind 'escaped': the orbit left the height box (or the step budget) and
-    the point is treated as a wanderer.
+    kind 'escaped': points[-1] is the first point of the orbit above
+    escape_height(phi), every earlier one is at or below it, and the point
+    is proven to wander.
+    kind 'unsettled': the step budget ran out with the orbit still at or
+    below the escape height; no verdict.
     """
 
     points: tuple[ProjPoint, ...]
@@ -164,23 +199,18 @@ class OrbitRecord:
         return self.points[self.tail_length :]
 
 
-def orbit(
-    phi: RationalMap,
-    P: ProjPoint,
-    max_steps: int = 1000,
-    height_cap: int = HEIGHT_ESCAPE,
-) -> OrbitRecord:
-    """Iterate P until a point repeats (preperiodic) or escapes the box.
+def orbit(phi: RationalMap, P: ProjPoint, max_steps: int = 1000) -> OrbitRecord:
+    """Iterate P until a point repeats (preperiodic) or passes escape_height(phi).
 
-    Escape is declared once a coordinate height passes height_cap or the step
-    budget runs out; preperiodic points over Q have orbits far below either
-    limit, so escape is a sound wanderer verdict for portrait work.
+    Passing the escape height proves the point wanders.  Only the step
+    budget is a cutoff without proof: an orbit still at or below the escape
+    height after max_steps steps comes back 'unsettled'.
     """
-    seen = {P: 0}
-    seq = [P]
+    cutoff = escape_height(phi)
+    seen: dict[ProjPoint, int] = {}
+    seq: list[ProjPoint] = []
     cur = P
-    for _ in range(max_steps):
-        cur = apply(phi, cur)
+    while cur.height() <= cutoff:
         idx = seen.get(cur)
         if idx is not None:
             return OrbitRecord(
@@ -189,11 +219,12 @@ def orbit(
                 tail_length=idx,
                 cycle_length=len(seq) - idx,
             )
-        if cur.height() > height_cap:
-            seq.append(cur)
-            return OrbitRecord(points=tuple(seq), kind="escaped")
         seen[cur] = len(seq)
         seq.append(cur)
+        if len(seq) > max_steps:
+            return OrbitRecord(points=tuple(seq), kind="unsettled")
+        cur = apply(phi, cur)
+    seq.append(cur)
     return OrbitRecord(points=tuple(seq), kind="escaped")
 
 

@@ -234,15 +234,13 @@ def _bareiss_det(M: list[list[int]]) -> int:
     return sign * M[n - 1][n - 1]
 
 
-def resultant(F: BinaryForm, G: BinaryForm) -> int:
-    """Resultant of two forms via the Sylvester determinant.
+def _sylvester(F: BinaryForm, G: BinaryForm) -> list[list[int]]:
+    """Rows X^(n-1-i) Y^i F (i < n), then X^(m-1-j) Y^j G (j < m).
 
-    Formal degrees are used, so common roots at infinity (both leading
-    coefficients zero) correctly give 0.
+    Column k holds the coefficient of X^(m+n-1-k) Y^k, for m = deg F and
+    n = deg G (formal degrees).
     """
     m, n = F.degree, G.degree
-    if m == 0 and n == 0:
-        return 1
     size = m + n
     rows: list[list[int]] = []
     f, g = list(F.coeffs), list(G.coeffs)
@@ -252,7 +250,40 @@ def resultant(F: BinaryForm, G: BinaryForm) -> int:
         rows.append([0] * j + g + [0] * (m - 1 - j))
     if any(len(r) != size for r in rows):
         raise InvariantViolation("Sylvester matrix is not square")
-    return _bareiss_det(rows)
+    return rows
+
+
+def resultant(F: BinaryForm, G: BinaryForm) -> int:
+    """Resultant of two forms via the Sylvester determinant.
+
+    Formal degrees are used, so common roots at infinity (both leading
+    coefficients zero) correctly give 0.
+    """
+    if F.degree == 0 and G.degree == 0:
+        return 1
+    return _bareiss_det(_sylvester(F, G))
+
+
+def resultant_cofactors(F: BinaryForm, G: BinaryForm, k: int) -> tuple[BinaryForm, BinaryForm]:
+    """Integer forms A, B of degrees n - 1, m - 1 with
+    A*F + B*G = Res(F, G) * X^(m+n-1-k) * Y^k, for m = deg F, n = deg G.
+
+    The coefficient vector c of (A, B) solves c*S = Res(F, G)*e_k for the
+    Sylvester matrix S, so by Cramer's rule on S^T each c_i is the
+    determinant of S with row i replaced by the unit vector e_k: integers
+    throughout, with no division.
+    """
+    rows = _sylvester(F, G)
+    size = len(rows)
+    unit = [0] * size
+    unit[k] = 1
+    c = []
+    for i in range(size):
+        M = [list(r) for r in rows]
+        M[i] = list(unit)
+        c.append(_bareiss_det(M))
+    n = G.degree
+    return BinaryForm(tuple(c[:n])), BinaryForm(tuple(c[n:]))
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,17 @@ were exhaustive, and the portrait carries those flags.
 
 `brute_force_preperiodic` is the independent cross-check: it classifies every
 point up to a height bound by direct iteration, sharing verdicts along orbits
-so large scans stay cheap.
+so large scans stay cheap. An orbit that passes the map's escape height
+provably wanders (heights grow at every step above it), so no point above
+that height is ever enumerated or iterated further.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .dynatomic import PeriodicPoint, rational_periodic_points
-from .dynmap import HEIGHT_ESCAPE, InvariantViolation, RationalMap, apply, preimages
+from .dynmap import InvariantViolation, RationalMap, apply, escape_height, preimages
 from .qarith import INFINITY, ProjPoint
 
 MAX_PORTRAIT_POINTS = 10**5
@@ -207,22 +210,20 @@ def rational_points_up_to(height_bound: int) -> Iterator[ProjPoint]:
     yield INFINITY
     for y in range(1, height_bound + 1):
         for x in range(-height_bound, height_bound + 1):
-            P = ProjPoint(x, y)
-            if P.x == x and P.y == y:  # already coprime, not a repeat
-                yield P
+            if math.gcd(x, y) == 1:  # a non-coprime pair repeats a point already listed
+                yield ProjPoint(x, y)
 
 
-def brute_force_preperiodic(
-    phi: RationalMap,
-    height_bound: int,
-    *,
-    height_cap: int = HEIGHT_ESCAPE,
-) -> frozenset[ProjPoint]:
+def brute_force_preperiodic(phi: RationalMap, height_bound: int) -> frozenset[ProjPoint]:
     """Classify every point up to a height bound by direct iteration.
 
-    Orbits share verdicts: once a point is known preperiodic or escaping,
-    everything that flowed through it inherits the answer.
+    Orbits share verdicts: once a point is known preperiodic or wandering,
+    everything that flowed through it inherits the answer. A point above
+    escape_height(phi) is proven to wander, so the scan stops there: only
+    points up to min(height_bound, escape_height(phi)) are enumerated, and
+    an orbit that passes the escape height settles as wandering.
     """
+    cutoff = escape_height(phi)
     verdict: dict[ProjPoint, bool] = {}
 
     def settle(P: ProjPoint) -> bool:
@@ -236,7 +237,7 @@ def brute_force_preperiodic(
             if cur in on_path:
                 v = True  # the orbit looped, so the whole path is preperiodic
                 break
-            if cur.height() > height_cap:
+            if cur.height() > cutoff:
                 v = False
                 break
             path.append(cur)
@@ -246,4 +247,5 @@ def brute_force_preperiodic(
             verdict[Q] = v
         return v
 
-    return frozenset(P for P in rational_points_up_to(height_bound) if settle(P))
+    points = rational_points_up_to(min(height_bound, cutoff))
+    return frozenset(P for P in points if settle(P))

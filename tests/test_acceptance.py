@@ -1,5 +1,8 @@
 """Acceptance suite: the nine binding criteria, one printed verdict line each.
 
+One more check rides on the shared corpus: the brute-force oracle's escape
+height lies above every point of those portraits and of ex52 d = 2..5.
+
 Run with `pytest -s tests/test_acceptance.py` to see the verdict lines as
 they happen; without -s they still appear in captured output on failure.
 """
@@ -23,7 +26,7 @@ from preper.dynatomic import (
     formal_period_orders,
     period_polynomial,
 )
-from preper.dynmap import RationalMap, build_map
+from preper.dynmap import RationalMap, build_map, escape_height
 from preper.families import FamilySpec, family_portrait, generate, verify_claims
 from preper.forms import compose_pair, resultant
 from preper.portrait import Portrait, brute_force_preperiodic, build_portrait, classify
@@ -205,6 +208,14 @@ def test_criterion_6_oracle_equivalence_at_height_100():
         from_portrait = {P for P in portrait.points() if P.height() <= 100}
         ok = ok and brute == from_portrait
     _verdict(6, f"brute force at height 100 agrees on {len(corpus_portraits())} maps", ok)
+
+
+def test_portrait_points_lie_at_or_below_the_escape_height():
+    portraits = [portrait for _, portrait in corpus_portraits()]
+    portraits += [family_portrait(FamilySpec("ex52", d)) for d in range(2, 6)]
+    for portrait in portraits:
+        cutoff = escape_height(portrait.phi)
+        assert all(P.height() <= cutoff for P in portrait.points())
 
 
 def test_criterion_7_bound_inequalities_hold():

@@ -437,6 +437,22 @@ def test_max_period_below_one_is_rejected(capsys):
         assert "error" in captured.err and "at least 1" in captured.err
 
 
+def test_bad_height_oracle_is_rejected_before_any_portrait(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "build_portrait", lambda *a: built.append(a))
+    cases = [
+        ["analyze", "--family", "ex52", "--d-range", "2:6", "--height-oracle", "-1"],
+        ["oracle", "--map", "x^2", "--height-oracle", "0"],
+        ["oracle", "--map", "x^2", "--height-oracle", "-3"],
+    ]
+    for argv in cases:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: height bound must be at least 1\n"
+    assert built == []
+
+
 def test_parser_is_built_once_and_keeps_no_state(capsys, monkeypatch):
     built = []
     make_parser = cli.make_parser

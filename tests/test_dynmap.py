@@ -13,12 +13,14 @@ from preper.dynmap import (
     RationalMap,
     apply,
     apply_rational,
+    _integer_root,
     build_map,
+    escape_height,
     has_good_reduction,
     orbit,
     preimages,
 )
-from preper.forms import BinaryForm, compose_pair, resultant
+from preper.forms import BinaryForm, compose_pair, resultant, resultant_cofactors
 from preper.qarith import INFINITY, PrimeSet, ProjPoint, strip_primes
 
 
@@ -116,9 +118,23 @@ def test_orbit_escapes():
     assert rec.kind == "escaped"
     assert rec.points[0] == ProjPoint(1, 1)
     assert rec.points[1] == ProjPoint(2, 1)
-    # escape triggered by the height cap, well before the step budget
-    assert len(rec.points) < 12
-    assert rec.points[-1].height() > 10**40
+    # the last point is the first one above the escape height
+    cutoff = escape_height(phi)
+    assert rec.points[-1].height() > cutoff
+    assert all(P.height() <= cutoff for P in rec.points[:-1])
+
+
+def test_orbit_step_budget_leaves_it_unsettled():
+    phi = build_map([1, 0, 1], [1])
+    rec = orbit(phi, ProjPoint(1, 1), max_steps=1)
+    assert rec.kind == "unsettled"
+    assert rec.points == (ProjPoint(1, 1), ProjPoint(2, 1))
+
+
+def test_orbit_of_a_point_above_the_escape_height():
+    phi = build_map([1, 0, 1], [1])
+    P = ProjPoint(escape_height(phi) + 1, 1)
+    assert orbit(phi, P) == OrbitRecord(points=(P,), kind="escaped")
 
 
 def test_orbit_of_fixed_point():
@@ -197,3 +213,70 @@ def test_orbit_record_shapes():
     rec = OrbitRecord(points=(INFINITY,), kind="preperiodic", tail_length=0, cycle_length=1)
     assert rec.cycle_points == (INFINITY,)
     assert rec.tail_points == ()
+
+
+# ---------------------------------------------------------------------------
+# escape height
+# ---------------------------------------------------------------------------
+
+
+def _random_maps(rng, count):
+    out = []
+    while len(out) < count:
+        d = 2 + len(out) % 4
+        num = [rng.randrange(-9, 10) for _ in range(d + 1)]
+        den = [rng.randrange(-9, 10) for _ in range(d + 1)]
+        try:
+            out.append(build_map(num, den))
+        except DegenerateMapError:
+            continue
+    return out
+
+
+def _escape_constant(phi):
+    d = phi.degree
+    norms = []
+    for k in (0, 2 * d - 1):
+        A, B = resultant_cofactors(phi.F, phi.G, k)
+        norms.append(sum(abs(c) for c in A.coeffs + B.coeffs))
+    return max(norms)
+
+
+def _random_point_of_height(rng, H):
+    while True:
+        other = rng.randrange(-H, H + 1)
+        x, y = (H, other) if rng.random() < 0.5 else (other, H)
+        if math.gcd(x, y) == 1:
+            return ProjPoint(x, y)
+
+
+def test_integer_root_is_exact():
+    rng = random.Random(99)
+    for _ in range(300):
+        k = rng.randrange(1, 6)
+        n = rng.randrange(0, 10 ** rng.randrange(1, 200))
+        h = _integer_root(n, k)
+        assert h**k <= n < (h + 1) ** k
+    assert _integer_root(10**120, 3) == 10**40
+    assert _integer_root(10**120 - 1, 3) == 10**40 - 1
+
+
+def test_escape_height_is_the_root_of_the_cofactor_norm():
+    N = 10**41
+    maps = _random_maps(random.Random(17), 12) + [build_map([-N * N, 0, 1], [N])]
+    for phi in maps:
+        h, K, e = escape_height(phi), _escape_constant(phi), phi.degree - 1
+        assert h >= 1
+        assert h**e <= K < (h + 1) ** e
+
+
+def test_points_above_escape_height_climb():
+    # every point of height escape_height + 1 .. 4 * escape_height + 5 maps
+    # to a strictly higher point
+    rng = random.Random(2024)
+    named = [build_map([1, 0, 1], [1]), build_map([0, -1, 1], [1]), example_d2()]
+    for phi in named + _random_maps(rng, 16):
+        h = escape_height(phi)
+        for _ in range(300):
+            P = _random_point_of_height(rng, rng.randrange(h + 1, 4 * h + 6))
+            assert apply(phi, P).height() > P.height()

@@ -22,6 +22,7 @@ from preper.forms import (
     form_from_poly,
     rational_roots,
     resultant,
+    resultant_cofactors,
     substitute,
 )
 from preper.qarith import ProjPoint, divisor_count, factor
@@ -269,6 +270,27 @@ def test_resultant_multiplicativity():
         if A.is_zero or B.is_zero or C.is_zero:
             continue
         assert resultant(A * B, C) == resultant(A, C) * resultant(B, C)
+
+
+def test_resultant_cofactors_identities():
+    # A*F + B*G = Res(F, G) * X^(2d-1-k) * Y^k exactly, for every monomial
+    # index k, on random map coordinates of degree 2..5
+    rng = random.Random(4242)
+    checked = 0
+    while checked < 40:
+        d = 2 + checked % 4
+        F = BinaryForm(tuple(rng.randrange(-9, 10) for _ in range(d + 1)))
+        G = BinaryForm(tuple(rng.randrange(-9, 10) for _ in range(d + 1)))
+        R = resultant(F, G)
+        if R == 0:
+            continue
+        checked += 1
+        for k in range(2 * d):
+            A, B = resultant_cofactors(F, G, k)
+            assert A.degree == d - 1 and B.degree == d - 1
+            monomial = [0] * (2 * d)
+            monomial[k] = R
+            assert A * F + B * G == BinaryForm(tuple(monomial))
 
 
 # ---------------------------------------------------------------------------

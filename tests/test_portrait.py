@@ -7,7 +7,7 @@ import weakref
 
 import pytest
 
-from preper.dynmap import DegenerateMapError, apply, build_map, orbit
+from preper.dynmap import DegenerateMapError, apply, build_map, escape_height, orbit
 from preper.portrait import (
     PortraitOverflowError,
     brute_force_preperiodic,
@@ -47,6 +47,7 @@ def test_point_enumeration_against_gcd_count():
             if math.gcd(x, y) == 1
         )
         assert len(pts) == expected
+        assert pts[1:] == sorted(pts[1:], key=ProjPoint.sort_key)
         for P in pts:
             assert P.height() <= H
 
@@ -159,6 +160,34 @@ def test_brute_force_against_direct_orbits():
     for P in rational_points_up_to(8):
         rec = orbit(phi, P)
         assert (P in brute) == (rec.kind == "preperiodic")
+
+
+def test_brute_force_keeps_a_cycle_above_any_fixed_cutoff():
+    # phi(z) = z^2/N - N has the 2-cycle 0 -> -N -> 0 with N far above
+    # 10^40, a height a fixed escape cutoff would call wandering
+    N = 10**41
+    phi = build_map([-N * N, 0, 1], [N])
+    assert escape_height(phi) > N
+    assert brute_force_preperiodic(phi, 2) == {ProjPoint(0, 1), INFINITY}
+    rec = orbit(phi, ProjPoint(0, 1))
+    assert rec.kind == "preperiodic" and rec.cycle_length == 2
+    assert rec.points == (ProjPoint(0, 1), ProjPoint(-N, 1))
+
+
+def test_brute_force_scans_only_up_to_the_escape_height(monkeypatch):
+    import preper.portrait as portrait_module
+
+    phi = z_squared_plus_one()  # escape height 2
+    bounds = []
+    enumerate_points = portrait_module.rational_points_up_to
+
+    def recorded(height_bound):
+        bounds.append(height_bound)
+        return enumerate_points(height_bound)
+
+    monkeypatch.setattr(portrait_module, "rational_points_up_to", recorded)
+    assert brute_force_preperiodic(phi, 25) == {INFINITY}
+    assert bounds == [escape_height(phi)] == [2]
 
 
 def test_portrait_matches_brute_force_on_named_maps():
