@@ -8,18 +8,18 @@ disagree, but for each point at most two formal periods ever occur, and the
 disagreeing case is tied to a multiplier that is a root of unity.
 """
 
-from preper import ProjPoint, build_map, formal_period_orders, multiplier
-from preper.dynatomic import dynatomic_record, formal_period_degree
+from preper import ProjPoint, build_map, multiplier
+from preper.dynatomic import dynatomic_records, formal_period_degree
+from preper.forms import root_multiplicity
 
 
 def main() -> None:
     phi = build_map([0, 0, 1], [1])  # the squaring map
     print(f"map: {phi}")
     print(f"{'n':>2} {'deg Phi*_n':>11} {'formula':>8} {'matches':>8}")
-    for n in range(1, 7):
-        rec = dynatomic_record(phi, n)
-        formula = formal_period_degree(2, n)
-        print(f"{n:>2} {rec.star_form.degree:>11} {formula:>8} {str(rec.degree_ok):>8}")
+    for rec in dynatomic_records(phi, 6):
+        deg, formula = rec.star_form.degree, formal_period_degree(2, rec.n)
+        print(f"{rec.n:>2} {deg:>11} {formula:>8} {str(deg == formula):>8}")
     print()
     print("Phi*_2 for the squaring map is X^2 + XY + Y^2: its roots are the")
     print("primitive sixth roots of unity, the genuine 2-cycle. No rational roots.")
@@ -31,7 +31,7 @@ def main() -> None:
     psi = build_map([0, -1, 1], [1])
     zero = ProjPoint(0, 1)
     print(f"map: {psi}")
-    orders = formal_period_orders(psi, zero, 4)
+    orders = {rec.n: root_multiplicity(rec.star_form, zero) for rec in dynatomic_records(psi, 4)}
     positive = sorted(n for n, a in orders.items() if a > 0)
     print(f"formal period multiplicities of 0: {orders}")
     print(f"formal periods of 0: {positive} (two of them, never more)")

@@ -1,11 +1,14 @@
-"""Period and dynatomic polynomials, formal periods, multipliers.
+"""Period and dynatomic forms, multipliers, and the rational periodic points.
 
 The n-th period form of phi = [F : G] is Phi_n = Y*F_n - X*G_n, whose roots
 are the points of period dividing n.  Moebius inversion over the divisors of
 n isolates the n-th dynatomic form Phi*_n, whose roots have formal period n.
-A root's primitive period can still be a proper divisor m of n, but only when
-the multiplier at the m-cycle is a root of unity; over Q that means -1, so a
-rational periodic point carries at most two formal periods (m and 2m).
+A point of primitive period m and multiplier lambda is a root of Phi*_n
+exactly when n = m, or n = m*r with lambda a primitive r-th root of unity
+(Morton and Silverman, "Periodic points, multiplicities, and dynamical
+units", 1995; Silverman, The Arithmetic of Dynamical Systems, Sec. 4.1).
+Over Q that root of unity can only be -1, so a rational periodic point
+carries the formal periods m and, when lambda = -1, 2m.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .dynmap import InvariantViolation, RationalMap, apply
-from .forms import BinaryForm, exact_divide, iterate_pairs, rational_roots, root_multiplicity
-from .qarith import ProjPoint, factor
+from .forms import BinaryForm, exact_divide, iterate_pairs, rational_roots
+from .qarith import ProjPoint
 
 # Degree/period pairs (n, d) for which a degree-d map may have no point of
 # exact period n over the algebraic closure (Baker).  For polynomial maps the
@@ -35,14 +38,16 @@ def _divisors(n: int) -> list[int]:
 
 
 def mobius(n: int) -> int:
-    if n == 1:
-        return 1
-    fr = factor(n)
-    if not fr.complete:
-        raise InvariantViolation(f"could not factor the period {n}")
-    if any(e > 1 for _, e in fr.factors):
-        return 0
-    return -1 if len(fr.factors) % 2 else 1
+    """The Moebius function of n >= 1, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
 
 
 def formal_period_degree(d: int, n: int) -> int:
@@ -61,24 +66,16 @@ def _period_forms(phi: RationalMap, n: int) -> list[BinaryForm]:
     return out
 
 
-def period_polynomial(phi: RationalMap, n: int) -> BinaryForm:
-    """Phi_n = Y*F_n - X*G_n, content- and sign-normalized, degree d^n + 1."""
-    return _period_forms(phi, n)[-1]
-
-
 @dataclass(frozen=True)
 class DynatomicRecord:
+    """Phi_n = Y*F_n - X*G_n (primitive, degree d^n + 1) and Phi*_n for one n."""
+
     n: int
     period_form: BinaryForm
     star_form: BinaryForm
-    degree_expected: int
-
-    @property
-    def degree_ok(self) -> bool:
-        return self.star_form.degree == self.degree_expected
 
 
-def _record(phi: RationalMap, periods: list[BinaryForm], n: int) -> DynatomicRecord:
+def _record(periods: list[BinaryForm], n: int) -> DynatomicRecord:
     """Phi*_n from the period forms periods[k - 1] = Phi_k, by one exact division.
 
     The Moebius factors are grouped into a single numerator and denominator
@@ -94,32 +91,13 @@ def _record(phi: RationalMap, periods: list[BinaryForm], n: int) -> DynatomicRec
         elif mu == -1:
             den = periods[k - 1] if den is None else den * periods[k - 1]
     star = num if den is None else exact_divide(num, den)
-    return DynatomicRecord(
-        n=n,
-        period_form=periods[n - 1],
-        star_form=star.primitive(),
-        degree_expected=formal_period_degree(phi.degree, n),
-    )
+    return DynatomicRecord(n=n, period_form=periods[n - 1], star_form=star.primitive())
 
 
 def dynatomic_records(phi: RationalMap, n_max: int) -> tuple[DynatomicRecord, ...]:
     """The records for n = 1..n_max, all from one walk of the iterate chain."""
     periods = _period_forms(phi, n_max)
-    return tuple(_record(phi, periods, n) for n in range(1, n_max + 1))
-
-
-def dynatomic_record(phi: RationalMap, n: int) -> DynatomicRecord:
-    """Phi_n together with Phi*_n."""
-    return _record(phi, _period_forms(phi, n), n)
-
-
-def dynatomic_polynomial(phi: RationalMap, n: int) -> BinaryForm:
-    return dynatomic_record(phi, n).star_form
-
-
-def formal_period_orders(phi: RationalMap, P: ProjPoint, n_max: int) -> dict[int, int]:
-    """a*_P(n) = multiplicity of P as a root of Phi*_n, for n = 1..n_max."""
-    return {rec.n: root_multiplicity(rec.star_form, P) for rec in dynatomic_records(phi, n_max)}
+    return tuple(_record(periods, n) for n in range(1, n_max + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +147,11 @@ def multiplier(phi: RationalMap, P: ProjPoint, m: int) -> Fraction:
 
 @dataclass(frozen=True)
 class PeriodicPoint:
+    """A rational point of primitive period m.
+
+    formal_periods are the n <= n_max of the search with Phi*_n(point) = 0.
+    """
+
     point: ProjPoint
     primitive_period: int
     multiplier: Fraction
@@ -195,14 +178,14 @@ def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResu
     """Search Phi*_n roots for n <= n_max and verify each by iteration.
 
     Whole cycles are closed off even if only one member shows up as a root,
-    so the result is cycle-closed by construction.
+    so the result is cycle-closed by construction.  Formal periods are read
+    off the multiplier by the theorem in the module docstring.
     """
     if n_max < 1:
         raise ValueError(f"the cycle-length horizon must be at least 1, got {n_max}")
     found: dict[ProjPoint, PeriodicPoint] = {}
     complete = True
-    records = dynatomic_records(phi, n_max)
-    for rec in records:
+    for rec in dynatomic_records(phi, n_max):
         n = rec.n
         rr = rational_roots(rec.star_form)
         complete = complete and rr.complete
@@ -224,8 +207,8 @@ def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResu
                     f"primitive period {m} does not divide formal period {n}"
                 )
             lam = multiplier(phi, pt, m)
+            formal = (m, 2 * m) if lam == -1 and 2 * m <= n_max else (m,)
             for c in cycle:
-                formal = tuple(r.n for r in records if r.star_form.evaluate_point(c) == 0)
                 found[c] = PeriodicPoint(
                     point=c, primitive_period=m, multiplier=lam, formal_periods=formal
                 )

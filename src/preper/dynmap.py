@@ -15,7 +15,16 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .forms import BinaryForm, rational_roots, resultant, resultant_cofactors
-from .qarith import InvariantViolation, PrimeSet, ProjPoint, Rat, factor, is_prime, strip_primes
+from .qarith import (
+    InvariantViolation,
+    PrimeSet,
+    ProjPoint,
+    Rat,
+    factor,
+    integer_root,
+    is_prime,
+    strip_primes,
+)
 
 
 class DegenerateMapError(ValueError):
@@ -136,18 +145,6 @@ def apply_rational(phi: RationalMap, z: Union[Rat, ProjPoint]) -> ProjPoint:
     return apply(phi, P)
 
 
-def _integer_root(n: int, k: int) -> int:
-    """The largest h >= 0 with h^k <= n, for n >= 0 and k >= 1 (Newton from above)."""
-    if n < 2 or k == 1:
-        return n
-    h = 1 << -(-n.bit_length() // k)
-    while True:
-        nxt = ((k - 1) * h + n // h ** (k - 1)) // k
-        if nxt >= h:
-            return h
-        h = nxt
-
-
 def escape_height(phi: RationalMap) -> int:
     """A height above which phi provably raises the height at every step.
 
@@ -167,7 +164,7 @@ def escape_height(phi: RationalMap) -> int:
     for k in (0, 2 * d - 1):
         A, B = resultant_cofactors(phi.F, phi.G, k)
         K = max(K, sum(abs(c) for c in A.coeffs + B.coeffs))
-    return _integer_root(K, d - 1)
+    return integer_root(K, d - 1)
 
 
 @dataclass(frozen=True)

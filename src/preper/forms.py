@@ -175,11 +175,6 @@ def substitute_pair(
     return f_acc, g_acc
 
 
-def substitute(outer: BinaryForm, A: BinaryForm, B: BinaryForm) -> BinaryForm:
-    """outer(A, B): substitute_pair with a zero partner, which costs nothing."""
-    return substitute_pair(outer, BinaryForm((0,) * (outer.degree + 1)), A, B)[0]
-
-
 def iterate_pairs(F: BinaryForm, G: BinaryForm, n: int) -> Iterator[tuple[BinaryForm, BinaryForm]]:
     """The coordinate forms (F_k, G_k) of the k-th iterate of [F : G], k = 1..n.
 
@@ -193,13 +188,6 @@ def iterate_pairs(F: BinaryForm, G: BinaryForm, n: int) -> Iterator[tuple[Binary
     for _ in range(n - 1):
         Fk, Gk = substitute_pair(F, G, Fk, Gk)
         yield Fk, Gk
-
-
-def compose_pair(F: BinaryForm, G: BinaryForm, n: int) -> tuple[BinaryForm, BinaryForm]:
-    """(F_n, G_n), the last pair of iterate_pairs."""
-    for pair in iterate_pairs(F, G, n):
-        pass
-    return pair
 
 
 # ---------------------------------------------------------------------------

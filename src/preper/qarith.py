@@ -178,27 +178,22 @@ class FactorResult:
         return v * (self.cofactor or 1)
 
 
-def _kth_root(n: int, k: int) -> int:
-    """Floor of the k-th root of n."""
-    if k == 2:
-        return math.isqrt(n)
-    lo = 1 << ((n.bit_length() - 1) // k)
-    hi = lo * 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid**k <= n:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+def integer_root(n: int, k: int) -> int:
+    """The largest h >= 0 with h^k <= n, for n >= 0 and k >= 1 (Newton from above)."""
+    if n < 2 or k == 1:
+        return n
+    h = 1 << -(-n.bit_length() // k)
+    while True:
+        nxt = ((k - 1) * h + n // h ** (k - 1)) // k
+        if nxt >= h:
+            return h
+        h = nxt
 
 
 def _perfect_root(n: int) -> Optional[tuple[int, int]]:
     """(r, k) with r^k = n for some prime k, else None."""
     for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if (1 << (n.bit_length() // k + 1)) < 2:
-            break
-        r = _kth_root(n, k)
+        r = integer_root(n, k)
         if r > 1 and r**k == n:
             return r, k
     return None

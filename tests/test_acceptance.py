@@ -20,15 +20,10 @@ from preper.certify import (
     unit_equation_count,
     verify_portrait_bounds,
 )
-from preper.dynatomic import (
-    dynatomic_record,
-    formal_period_degree,
-    formal_period_orders,
-    period_polynomial,
-)
+from preper.dynatomic import dynatomic_records, formal_period_degree
 from preper.dynmap import RationalMap, build_map, escape_height
 from preper.families import FamilySpec, family_portrait, generate, verify_claims
-from preper.forms import compose_pair, resultant
+from preper.forms import iterate_pairs, resultant, root_multiplicity
 from preper.portrait import Portrait, brute_force_preperiodic, build_portrait, classify
 from preper.qarith import ProjPoint, strip_primes
 
@@ -158,27 +153,25 @@ def test_criterion_3_s_unit_certificates():
 def test_criterion_4_dynatomic_degree_identity():
     mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1}
     ok = True
-    for d in range(2, 7):
-        for n in range(1, 7):
-            expected = sum(
-                mu[n // k] * (d**k + 1) for k in range(1, n + 1) if n % k == 0
-            )
-            ok = ok and formal_period_degree(d, n) == expected
     # one witness map per degree; the monomial map keeps the largest grid
     # corners cheap since its iterates stay sparse with unit coefficients
     for d in range(2, 7):
         dense = build_map([1] + [0] * (d - 1) + [1], [1])
         sparse = build_map([0] * d + [1], [1])
         for n in range(1, 7):
+            expected = sum(
+                mu[n // k] * (d**k + 1) for k in range(1, n + 1) if n % k == 0
+            )
+            ok = ok and formal_period_degree(d, n) == expected
             phi = dense if d**n <= 3200 else sparse
-            records = [dynatomic_record(phi, k) for k in range(1, n + 1)]
-            ok = ok and records[n - 1].degree_ok
+            records = dynatomic_records(phi, n)
+            ok = ok and records[n - 1].star_form.degree == expected
             prod = None
             for k in range(1, n + 1):
                 if n % k == 0:
                     f = records[k - 1].star_form
                     prod = f if prod is None else prod * f
-            target = period_polynomial(phi, n)
+            target = records[n - 1].period_form
             prod = prod.primitive()
             negated = tuple(-c for c in prod.coeffs)
             ok = ok and (prod.coeffs == target.coeffs or negated == target.coeffs)
@@ -189,12 +182,15 @@ def test_criterion_5_at_most_two_formal_periods():
     ok = True
     examined = 0
     for _, portrait in corpus_portraits():
-        n_max = portrait.flags.n_max
+        # the star forms, built once per map, are the reference for the
+        # formal periods the search reads off the multipliers
+        records = dynatomic_records(portrait.phi, portrait.flags.n_max)
         for pp in portrait.periodic:
             examined += 1
             ok = ok and len(pp.formal_periods) <= 2
-            orders = formal_period_orders(portrait.phi, pp.point, n_max)
-            positive = tuple(sorted(n for n, a in orders.items() if a > 0))
+            positive = tuple(
+                rec.n for rec in records if root_multiplicity(rec.star_form, pp.point) > 0
+            )
             ok = ok and positive == pp.formal_periods
             ok = ok and len(positive) <= 2
     ok = ok and examined > 0
@@ -239,8 +235,7 @@ def test_criterion_8_reduction_property_runs():
     for label, phi in named_corpus():
         if phi.degree != 2:
             continue
-        for n in range(1, 5):
-            Fn, Gn = compose_pair(phi.F, phi.G, n)
+        for Fn, Gn in iterate_pairs(phi.F, phi.G, 4):
             res_n = resultant(Fn, Gn)
             ok = ok and res_n != 0
             ok = ok and strip_primes(res_n, phi.bad_primes) == 1

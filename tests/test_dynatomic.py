@@ -9,17 +9,14 @@ from preper import forms
 from preper.dynatomic import (
     BAKER_EXCEPTIONAL_PAIRS,
     baker_degree_check,
-    dynatomic_polynomial,
-    dynatomic_record,
+    dynatomic_records,
     formal_period_degree,
-    formal_period_orders,
     mobius,
     multiplier,
-    period_polynomial,
     rational_periodic_points,
 )
 from preper.dynmap import DegenerateMapError, apply, build_map
-from preper.forms import BinaryForm
+from preper.forms import BinaryForm, root_multiplicity
 from preper.qarith import INFINITY, ProjPoint
 
 # classical table, frozen independently of the library's mobius()
@@ -50,28 +47,28 @@ def test_mobius_against_table():
         assert mobius(n) == mu
 
 
-def test_period_polynomial_z2():
-    phi = z_squared()
-    assert period_polynomial(phi, 1) == BinaryForm((0, 1, -1, 0))  # XY(X-Y)
+def test_period_form_z2():
+    records = dynatomic_records(z_squared(), 4)
+    assert records[0].period_form == BinaryForm((0, 1, -1, 0))  # XY(X-Y)
     # degree d^n + 1 for every n
-    for n in (1, 2, 3, 4):
-        assert period_polynomial(phi, n).degree == 2**n + 1
+    for rec in records:
+        assert rec.period_form.degree == 2**rec.n + 1
 
 
-def test_period_polynomial_roots_are_periodic_points():
-    phi = shifted_product_d2()
+def test_period_form_roots_are_periodic_points():
     # the 3-cycle 0 -> inf -> 1 vanishes on Phi_3 but not Phi_1
-    phi3 = period_polynomial(phi, 3)
-    phi1 = period_polynomial(phi, 1)
+    records = dynatomic_records(shifted_product_d2(), 3)
+    phi3 = records[2].period_form
+    phi1 = records[0].period_form
     for P in (ProjPoint(0, 1), INFINITY, ProjPoint(1, 1)):
         assert phi3.evaluate_point(P) == 0
         assert phi1.evaluate_point(P) != 0
 
 
 def test_dynatomic_z2_frozen_forms():
-    phi = z_squared()
-    assert dynatomic_polynomial(phi, 2) == BinaryForm((1, 1, 1))  # X^2+XY+Y^2
-    assert dynatomic_polynomial(phi, 4) == BinaryForm(
+    records = dynatomic_records(z_squared(), 4)
+    assert records[1].star_form == BinaryForm((1, 1, 1))  # X^2+XY+Y^2
+    assert records[3].star_form == BinaryForm(
         (1, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 0, 1)
     )  # (X^15-Y^15)/(X^3-Y^3)
 
@@ -79,8 +76,7 @@ def test_dynatomic_z2_frozen_forms():
 def test_dynatomic_baker_pair_degenerates_to_a_square():
     # z^2 - z has multiplier -1 at the fixed point 0; the (n,d) = (2,2)
     # dynatomic form collapses onto it: Phi*_2 = X^2, no exact 2-cycle at all
-    phi = z_squared_minus_z()
-    assert dynatomic_polynomial(phi, 2) == BinaryForm((1, 0, 0))
+    assert dynatomic_records(z_squared_minus_z(), 2)[-1].star_form == BinaryForm((1, 0, 0))
     assert not baker_degree_check(2, 2)
 
 
@@ -88,14 +84,12 @@ def test_degree_identity_grid():
     # deg Phi*_n == sum_{k|n} mu(n/k) (d^k + 1), mu from the frozen table
     for d in range(2, 7):
         phi = build_map([0] * d + [1], [1])  # z^d
-        for n in range(1, 7):
+        for rec in dynatomic_records(phi, 6):
+            n = rec.n
             expected = sum(
                 MU[n // k] * (d**k + 1) for k in range(1, n + 1) if n % k == 0
             )
-            rec = dynatomic_record(phi, n)
             assert rec.star_form.degree == expected
-            assert rec.degree_expected == expected
-            assert rec.degree_ok
             assert formal_period_degree(d, n) == expected
 
 
@@ -114,28 +108,69 @@ def test_dynatomic_reconstruction():
         except DegenerateMapError:
             continue
     for phi in maps:
+        records = dynatomic_records(phi, 6)
         for n in (1, 2, 3, 4, 6):
             prod = None
             for k in range(1, n + 1):
                 if n % k:
                     continue
-                star = dynatomic_record(phi, k).star_form
+                star = records[k - 1].star_form
                 prod = star if prod is None else prod * star
             assert prod is not None
-            assert prod.primitive() == period_polynomial(phi, n).primitive()
+            assert prod.primitive() == records[n - 1].period_form.primitive()
 
 
-def test_formal_period_orders_simple_fixed_point():
-    phi = z_squared()
-    assert formal_period_orders(phi, ProjPoint(1, 1), 4) == {1: 1, 2: 0, 3: 0, 4: 0}
+def _formal_period_cases():
+    """(map, n_max) pairs for the formal-period check.
+
+    z^2 - z at n_max 1, 2 and 4 (its fixed point 0 has multiplier -1), z^2,
+    and seeded random maps of degree 2 and 3, a third of them with a planted
+    fixed point 0 of multiplier -1.
+    """
+    cases = [(z_squared_minus_z(), n_max) for n_max in (1, 2, 4)]
+    cases.append((z_squared(), 4))
+    rng = random.Random(2718)
+    while len(cases) < 104:
+        d = rng.choice([2, 3])
+        num = [rng.randint(-4, 4) for _ in range(d + 1)]
+        den = [rng.randint(-4, 4) for _ in range(d + 1)]
+        if len(cases) % 3 == 0 and den[0]:
+            num[0], num[1] = 0, -den[0]  # phi(0) = 0, phi'(0) = num[1]/den[0]
+        try:
+            cases.append((build_map(num, den), 4 if d == 2 else 3))
+        except DegenerateMapError:
+            continue
+    return cases
 
 
-def test_formal_period_orders_multiplier_minus_one():
-    # fixed point with multiplier -1 picks up a second formal period
+def test_formal_periods_follow_the_multiplier():
+    # formal periods read off lambda equal the n with Phi*_n(P) = 0
+    witnesses = {"2m <= n_max": 0, "2m > n_max": 0}
+    points = 0
+    for phi, n_max in _formal_period_cases():
+        records = dynatomic_records(phi, n_max)
+        for pp in rational_periodic_points(phi, n_max).points:
+            points += 1
+            vanishing = tuple(
+                rec.n for rec in records if rec.star_form.evaluate_point(pp.point) == 0
+            )
+            assert pp.formal_periods == vanishing, (phi, pp)
+            if pp.multiplier == -1:
+                fits = 2 * pp.primitive_period <= n_max
+                witnesses["2m <= n_max" if fits else "2m > n_max"] += 1
+    assert all(witnesses.values()), witnesses
+    assert points > 80
+
+    records = dynatomic_records(z_squared(), 4)
+    orders = {rec.n: root_multiplicity(rec.star_form, ProjPoint(1, 1)) for rec in records}
+    assert orders == {1: 1, 2: 0, 3: 0, 4: 0}
+    # a fixed point with multiplier -1 picks up a second formal period
     phi = z_squared_minus_z()
-    orders = formal_period_orders(phi, ProjPoint(0, 1), 4)
+    records = dynatomic_records(phi, 4)
+    orders = {rec.n: root_multiplicity(rec.star_form, ProjPoint(0, 1)) for rec in records}
     assert orders == {1: 1, 2: 2, 3: 0, 4: 0}
     assert multiplier(phi, ProjPoint(0, 1), 1) == Fraction(-1)
+    assert rational_periodic_points(phi, 4).by_point()[ProjPoint(0, 1)].formal_periods == (1, 2)
 
 
 def test_at_most_two_formal_periods():
@@ -339,7 +374,7 @@ def test_periodic_search_rejects_a_horizon_below_one():
 
 def test_periodic_search_walks_the_iterate_chain_once(monkeypatch):
     # one substitute_pair call per iterate step: n_max - 1 of them for the
-    # whole search, formal periods included
+    # whole search
     steps = []
     step = forms.substitute_pair
 

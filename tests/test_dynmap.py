@@ -13,15 +13,14 @@ from preper.dynmap import (
     RationalMap,
     apply,
     apply_rational,
-    _integer_root,
     build_map,
     escape_height,
     has_good_reduction,
     orbit,
     preimages,
 )
-from preper.forms import BinaryForm, compose_pair, resultant, resultant_cofactors
-from preper.qarith import INFINITY, PrimeSet, ProjPoint, strip_primes
+from preper.forms import BinaryForm, iterate_pairs, resultant, resultant_cofactors
+from preper.qarith import INFINITY, PrimeSet, ProjPoint, integer_root, strip_primes
 
 
 def poly_mul(a, b):
@@ -202,8 +201,7 @@ def test_iterate_resultant_support():
     maps += [random_map(rng) for _ in range(5)]
     for phi in maps:
         assert phi.bad_primes_complete
-        for n in (2, 3, 4):
-            Fn, Gn = compose_pair(phi.F, phi.G, n)
+        for Fn, Gn in list(iterate_pairs(phi.F, phi.G, 4))[1:]:
             rn = resultant(Fn, Gn)
             assert rn != 0
             assert strip_primes(rn, phi.bad_primes) == 1
@@ -255,10 +253,10 @@ def test_integer_root_is_exact():
     for _ in range(300):
         k = rng.randrange(1, 6)
         n = rng.randrange(0, 10 ** rng.randrange(1, 200))
-        h = _integer_root(n, k)
+        h = integer_root(n, k)
         assert h**k <= n < (h + 1) ** k
-    assert _integer_root(10**120, 3) == 10**40
-    assert _integer_root(10**120 - 1, 3) == 10**40 - 1
+    assert integer_root(10**120, 3) == 10**40
+    assert integer_root(10**120 - 1, 3) == 10**40 - 1
 
 
 def test_escape_height_is_the_root_of_the_cofactor_norm():

@@ -17,13 +17,13 @@ from preper.forms import (
     BinaryForm,
     _residue_screen,
     InexactDivisionError,
-    compose_pair,
     exact_divide,
     form_from_poly,
+    iterate_pairs,
     rational_roots,
     resultant,
     resultant_cofactors,
-    substitute,
+    substitute_pair,
 )
 from preper.qarith import ProjPoint, divisor_count, factor
 
@@ -168,20 +168,18 @@ def test_arithmetic_and_power():
 # ---------------------------------------------------------------------------
 
 
-def test_compose_pair_z2_plus_1():
+def test_iterate_pairs_z2_plus_1():
     # z^2 + 1: second iterate numerator (z^2+1)^2 + 1, denominator 1
     F, G = BinaryForm((1, 0, 1)), BinaryForm((0, 0, 1))
-    F2, G2 = compose_pair(F, G, 2)
+    (F1, G1), (F2, G2) = iterate_pairs(F, G, 2)
     assert F2 == BinaryForm((1, 0, 2, 0, 2))
     assert G2 == BinaryForm((0, 0, 0, 0, 1))
-    F1, G1 = compose_pair(F, G, 1)
     assert (F1, G1) == (F, G)
 
 
-def test_compose_pair_degree_growth():
+def test_iterate_pairs_degree_growth():
     F, G = BinaryForm((1, -3, 2)), BinaryForm((1, 0, 0))
-    for n in (1, 2, 3, 4):
-        Fn, Gn = compose_pair(F, G, n)
+    for n, (Fn, Gn) in enumerate(iterate_pairs(F, G, 4), 1):
         assert Fn.degree == Gn.degree == 2**n
 
 
@@ -202,14 +200,15 @@ def test_compose_matches_affine_iteration():
             w = (w * w + w - 1) / den
         if bad:
             continue
-        Fn, Gn = compose_pair(F, G, n)
+        *_, (Fn, Gn) = iterate_pairs(F, G, n)
         x, y = z.numerator, z.denominator
         assert Fraction(Fn.evaluate(x, y), Gn.evaluate(x, y)) == w
 
 
 def test_substitute_rejects_degree_mismatch():
+    outer = BinaryForm((1, 0))
     with pytest.raises(ValueError):
-        substitute(BinaryForm((1, 0)), BinaryForm((1, 0)), BinaryForm((1, 0, 0)))
+        substitute_pair(outer, outer, BinaryForm((1, 0)), BinaryForm((1, 0, 0)))
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,16 @@ def test_factor_splits_semiprime_beyond_trial_bound():
     assert res.complete
 
 
+def test_factor_splits_perfect_powers_without_rho():
+    # prime powers beyond the trial bound: the perfect-power branch alone
+    # splits them, so a zero rho budget still factors them completely
+    for p, e in ((10**9 + 7, 5), (2**61 - 1, 2)):
+        for kwargs in ({}, {"rho_restarts": 0}):
+            res = factor(p**e, **kwargs)
+            assert res.factors == ((p, e),)
+            assert res.complete
+
+
 def _next_prime(n: int) -> int:
     n += 1 + (n % 2)
     while not is_prime(n):

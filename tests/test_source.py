@@ -15,3 +15,52 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_public_names_resolve():
+    import preper
+
+    missing = [name for name in preper.__all__ if not hasattr(preper, name)]
+    assert missing == []
+    namespace: dict = {}
+    exec("from preper import *", namespace)
+    assert set(preper.__all__) <= set(namespace)
+
+
+def _imported_names(tree):
+    """(bound name, line) for every import except __future__ ones."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _used_names(tree):
+    """Names loaded anywhere, or listed in __all__ (the package's re-exports)."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_no_unused_imports():
+    # pyflakes-style check with the standard library only: an import that
+    # outlives the code using it, such as a leftover factor, fails here
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = _used_names(tree)
+        found += [
+            f"{path.name}:{line} {name}"
+            for name, line in _imported_names(tree)
+            if name not in used
+        ]
+    assert found == []
