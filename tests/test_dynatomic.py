@@ -161,14 +161,22 @@ def test_formal_periods_follow_the_multiplier():
     assert all(witnesses.values()), witnesses
     assert points > 80
 
-    records = dynatomic_records(z_squared(), 4)
-    orders = {rec.n: root_multiplicity(rec.star_form, ProjPoint(1, 1)) for rec in records}
-    assert orders == {1: 1, 2: 0, 3: 0, 4: 0}
+
+def _formal_period_orders(phi, point, n_max):
+    """n -> order of vanishing of Phi*_n at point, for 1 <= n <= n_max."""
+    return {rec.n: root_multiplicity(rec.star_form, point) for rec in dynatomic_records(phi, n_max)}
+
+
+def test_formal_period_orders_simple_fixed_point():
+    phi = z_squared()
+    assert _formal_period_orders(phi, ProjPoint(1, 1), 4) == {1: 1, 2: 0, 3: 0, 4: 0}
+    assert rational_periodic_points(phi, 4).by_point()[ProjPoint(1, 1)].formal_periods == (1,)
+
+
+def test_formal_period_orders_multiplier_minus_one():
     # a fixed point with multiplier -1 picks up a second formal period
     phi = z_squared_minus_z()
-    records = dynatomic_records(phi, 4)
-    orders = {rec.n: root_multiplicity(rec.star_form, ProjPoint(0, 1)) for rec in records}
-    assert orders == {1: 1, 2: 2, 3: 0, 4: 0}
+    assert _formal_period_orders(phi, ProjPoint(0, 1), 4) == {1: 1, 2: 2, 3: 0, 4: 0}
     assert multiplier(phi, ProjPoint(0, 1), 1) == Fraction(-1)
     assert rational_periodic_points(phi, 4).by_point()[ProjPoint(0, 1)].formal_periods == (1, 2)
 
