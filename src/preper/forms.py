@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from itertools import zip_longest
+from typing import Iterator, Optional, Sequence
 
 from .qarith import (
     FactorResult,
@@ -27,6 +28,51 @@ from .qarith import (
 
 class InexactDivisionError(ArithmeticError):
     """Raised when a form division leaves a remainder or a non-integer quotient."""
+
+
+# An operand with fewer nonzero coefficients than this is multiplied by the
+# schoolbook loop over nonzero terms; above it, Karatsuba.
+_KARATSUBA_CUTOFF = 16
+
+
+def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two coefficient lists.
+
+    Karatsuba (von zur Gathen-Gerhard, Modern Computer Algebra, 8.1) on
+    balanced operands; an operand at least twice as long as the other is
+    cut into chunks of the shorter one's length.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    m, n = len(a), len(b)
+    out = [0] * (m + n - 1)
+    a_terms = [(i, x) for i, x in enumerate(a) if x]
+    b_terms = [(j, y) for j, y in enumerate(b) if y]
+    if min(len(a_terms), len(b_terms)) < _KARATSUBA_CUTOFF:
+        for i, x in a_terms:
+            for j, y in b_terms:
+                out[i + j] += x * y
+    elif m >= 2 * n:
+        for s in range(0, m, n):
+            for k, c in enumerate(_product(a[s : s + n], b), s):
+                out[k] += c
+    else:
+        h = m // 2
+        low, high = _product(a[:h], b[:h]), _product(a[h:], b[h:])
+        mid = _product(_add(a[:h], a[h:]), _add(b[:h], b[h:]))
+        for k, c in enumerate(low):
+            out[k] += c
+            mid[k] -= c
+        for k, c in enumerate(high):
+            out[k + 2 * h] += c
+            mid[k] -= c
+        for k, c in enumerate(mid, h):
+            out[k] += c
+    return out
+
+
+def _add(u: Sequence[int], v: Sequence[int]) -> list[int]:
+    return [x + y for x, y in zip_longest(u, v, fillvalue=0)]
 
 
 @dataclass(frozen=True)
@@ -90,14 +136,7 @@ class BinaryForm:
         return BinaryForm(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
-        out = [0] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b != 0:
-                    out[i + j] += a * b
-        return BinaryForm(tuple(out))
+        return BinaryForm(tuple(_product(self.coeffs, other.coeffs)))
 
     def power(self, k: int) -> "BinaryForm":
         if k < 0:
@@ -156,22 +195,22 @@ def form_from_poly(coeffs_ascending: list, degree: int) -> BinaryForm:
 def substitute_pair(
     F: BinaryForm, G: BinaryForm, A: BinaryForm, B: BinaryForm
 ) -> tuple[BinaryForm, BinaryForm]:
-    """(F(A, B), G(A, B)) from one table of the monomials A^(d-i) B^i, built as needed."""
+    """(F(A, B), G(A, B)) by Horner's rule in A over one table of the powers of B.
+
+    acc <- acc*A + f_i*B^i, so no monomial A^(d-i) B^i is ever formed.
+    """
     if F.degree != G.degree or A.degree != B.degree:
         raise ValueError("the forms of a pair must share a degree")
-    d = F.degree
-    apow, bpow = [BinaryForm((1,)), A], [BinaryForm((1,)), B]
-    for _ in range(d - 1):
-        apow.append(apow[-1] * A)
+    bpow = [B]
+    for _ in range(F.degree - 1):
         bpow.append(bpow[-1] * B)
-    f_acc = g_acc = BinaryForm((0,) * (d * A.degree + 1))
-    for i, (f, g) in enumerate(zip(F.coeffs, G.coeffs)):
-        if f or g:
-            monomial = apow[d - i] * bpow[i]
-            if f:
-                f_acc = f_acc + monomial.scale(f)
-            if g:
-                g_acc = g_acc + monomial.scale(g)
+    f_acc, g_acc = BinaryForm(F.coeffs[:1]), BinaryForm(G.coeffs[:1])
+    for f, g, b in zip(F.coeffs[1:], G.coeffs[1:], bpow):
+        f_acc, g_acc = f_acc * A, g_acc * A
+        if f:
+            f_acc = f_acc + b.scale(f)
+        if g:
+            g_acc = g_acc + b.scale(g)
     return f_acc, g_acc
 
 

@@ -222,6 +222,7 @@ def test_json_output_is_bit_stable(capsys):
     [
         (["--family", "ex51", "--d-range", "1:3"], "analyze_ex51_d1-3.json"),
         (["--map", "(2*x^3-7*x+5)/(3*x^2+11)", "--max-period", "4"], "analyze_cubic_n4.json"),
+        (["--family", "ex52", "--d-range", "2:8"], "analyze_ex52_d2-8.json"),
     ],
 )
 def test_json_output_matches_recorded_bytes(capsys, argv, recorded):

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from preper.forms import (
+    _KARATSUBA_CUTOFF,
     _SCREEN_PRIME_COUNT,
     _SCREEN_PRIME_MIN,
     BinaryForm,
@@ -109,6 +110,23 @@ def brute_roots(f: BinaryForm, bound: int) -> set:
     return out
 
 
+def schoolbook_product(a, b):
+    """Every coefficient product, zeros included: the form-product oracle."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def random_coeffs(rng, length, bits, zero_share=0.0):
+    """Signed coefficients of up to `bits` bits, some of them zero."""
+    return [
+        0 if rng.random() < zero_share else rng.choice((-1, 1)) * rng.randrange(1, 2**bits + 1)
+        for _ in range(length)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # construction and evaluation
 # ---------------------------------------------------------------------------
@@ -163,6 +181,40 @@ def test_arithmetic_and_power():
         f + BinaryForm((1, 0, 0))
 
 
+def test_form_product_matches_schoolbook():
+    # lengths 1..300 around the Karatsuba cutoff, unbalanced pairs, runs of
+    # zeros and zero ends, coefficients of 1..2000 bits of both signs
+    rng = random.Random(8101962)
+    c = _KARATSUBA_CUTOFF
+    lengths = [(L, L) for L in (c - 1, c, c + 1, 2 * c - 1, 2 * c, 2 * c + 1)]
+    lengths += [(L, 2 * L + k) for L in (c - 1, c, c + 1) for k in (-1, 0, 1, 5)]
+    lengths += [(1, 1), (1, 300), (300, 1), (300, 300), (c, 300), (299, c + 1)]
+    dense = len(lengths)  # these keep every coefficient nonzero
+    while len(lengths) < 300:
+        m = int(math.exp(rng.uniform(0, math.log(300))))
+        n = m if rng.random() < 0.4 else rng.randrange(1, max(2, m // 2 + 1))
+        lengths.append((m, n) if rng.random() < 0.5 else (n, m))
+    unbalanced = 0
+    for case, (m, n) in enumerate(lengths):
+        bits = int(math.exp(rng.uniform(0, math.log(2000)))) if m * n < 20000 else rng.randrange(1, 200)
+        a = random_coeffs(rng, m, bits, rng.choice((0.0, 0.0, 0.3, 0.9)) if case >= dense else 0.0)
+        b = random_coeffs(rng, n, rng.randrange(1, bits + 1), rng.choice((0.0, 0.3)) if case >= dense else 0.0)
+        for coeffs in (a, b) if case >= dense else ():
+            if len(coeffs) > 4 and rng.random() < 0.3:
+                i = rng.randrange(len(coeffs))
+                j = min(len(coeffs), i + rng.randrange(1, len(coeffs)))
+                coeffs[i:j] = [0] * (j - i)
+            if rng.random() < 0.2:
+                coeffs[0] = 0
+            if rng.random() < 0.2:
+                coeffs[-1] = 0
+        product = BinaryForm(tuple(a)) * BinaryForm(tuple(b))
+        assert product.degree == m + n - 2
+        assert list(product.coeffs) == schoolbook_product(a, b), (m, n, bits)
+        unbalanced += min(m, n) >= c and max(m, n) >= 2 * min(m, n)
+    assert unbalanced >= 20
+
+
 # ---------------------------------------------------------------------------
 # composition
 # ---------------------------------------------------------------------------
@@ -203,6 +255,34 @@ def test_compose_matches_affine_iteration():
         *_, (Fn, Gn) = iterate_pairs(F, G, n)
         x, y = z.numerator, z.denominator
         assert Fraction(Fn.evaluate(x, y), Gn.evaluate(x, y)) == w
+
+
+def test_substitute_pair_matches_pointwise_evaluation():
+    # F(A, B)(x, y) = F(A(x, y), B(x, y)), the same for G, with inner forms
+    # long enough to cross the Karatsuba cutoff; outer pairs of degree 2..8
+    # with zero first coefficients and G = X^d as in ex51/ex52
+    rng = random.Random(1962)
+    for case in range(40):
+        d = 2 + case % 7
+        F = BinaryForm(tuple(random_coeffs(rng, d + 1, rng.randrange(1, 40), 0.2)))
+        if case % 4 == 0:
+            G = BinaryForm((1,) + (0,) * d)
+        else:
+            G = BinaryForm(tuple(random_coeffs(rng, d + 1, rng.randrange(1, 40), 0.2)))
+        if case % 4 == 1:
+            F = BinaryForm((0,) + F.coeffs[1:])
+        if case % 4 == 2:
+            G = BinaryForm((0,) + G.coeffs[1:])
+        e = rng.randrange(_KARATSUBA_CUTOFF - 2, 3 * _KARATSUBA_CUTOFF)
+        A = BinaryForm(tuple(random_coeffs(rng, e + 1, rng.randrange(1, 300), 0.1)))
+        B = BinaryForm(tuple(random_coeffs(rng, e + 1, rng.randrange(1, 300), 0.1)))
+        FA, GA = substitute_pair(F, G, A, B)
+        assert FA.degree == GA.degree == d * e
+        for _ in range(4):
+            x, y = rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6)
+            a, b = A.evaluate(x, y), B.evaluate(x, y)
+            assert FA.evaluate(x, y) == F.evaluate(a, b)
+            assert GA.evaluate(x, y) == G.evaluate(a, b)
 
 
 def test_substitute_rejects_degree_mismatch():
