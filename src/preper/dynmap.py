@@ -127,16 +127,44 @@ def leftover_factor(phi: RationalMap, g: int) -> int:
     return g
 
 
-def apply(phi: RationalMap, P: ProjPoint) -> ProjPoint:
-    """phi(P), with the good-reduction normalization property asserted."""
-    fx = phi.F.evaluate_point(P)
-    gx = phi.G.evaluate_point(P)
+def image_pair(phi: RationalMap, x: int, y: int) -> tuple[int, int]:
+    """The coordinates of phi([x : y]) for coprime x, y, in ProjPoint's normal form.
+
+    F and G are evaluated in one Horner pass in x with a shared running
+    power of y.  Good reduction outside the bad primes is checked on the
+    way: the pair must not vanish together, and gcd(F, G) must leave
+    nothing once the bad primes are divided out.  The gcd is divided out
+    and the sign fixed so that y' > 0, or [1 : 0] at infinity.
+    """
+    f, g = phi.F.coeffs, phi.G.coeffs
+    fx, gx = f[0], g[0]
+    ypow = 1
+    for a, b in zip(f[1:], g[1:]):
+        ypow *= y
+        fx = fx * x + a * ypow
+        gx = gx * x + b * ypow
     if fx == 0 and gx == 0:
-        raise InvariantViolation(f"common root at {P} despite nonzero resultant")
-    stray = leftover_factor(phi, math.gcd(fx, gx))
-    if stray != 1:  # an implementation bug, never a property of the map
-        raise InvariantViolation(f"gcd of image pair has a factor {stray} outside the bad primes")
-    return ProjPoint(fx, gx)
+        raise InvariantViolation(f"common root at {ProjPoint(x, y)} despite nonzero resultant")
+    c = math.gcd(fx, gx)
+    if c != 1:  # leftover_factor(phi, 1) is 1, so only c > 1 can fail the check
+        stray = leftover_factor(phi, c)
+        if stray != 1:  # an implementation bug, never a property of the map
+            raise InvariantViolation(
+                f"gcd of image pair has a factor {stray} outside the bad primes"
+            )
+        fx, gx = fx // c, gx // c
+    if gx < 0 or (gx == 0 and fx < 0):
+        fx, gx = -fx, -gx
+    return fx, gx
+
+
+def apply(phi: RationalMap, P: ProjPoint) -> ProjPoint:
+    """phi(P), with the good-reduction normalization property asserted.
+
+    The arithmetic and the checks are image_pair's, the one map-step kernel
+    that the brute-force oracle also iterates.
+    """
+    return ProjPoint(*image_pair(phi, P.x, P.y))
 
 
 def apply_rational(phi: RationalMap, z: Union[Rat, ProjPoint]) -> ProjPoint:

@@ -12,7 +12,9 @@ were exhaustive, and the portrait carries those flags.
 point up to a height bound by direct iteration, sharing verdicts along orbits
 so large scans stay cheap. An orbit that passes the map's escape height
 provably wanders (heights grow at every step above it), so no point above
-that height is ever enumerated or iterated further.
+that height is ever enumerated or iterated further. The scan iterates plain
+coordinate pairs through `dynmap.image_pair`, the same map-step kernel, with
+the same good-reduction checks, that `apply` wraps for ProjPoints.
 """
 
 import math
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .dynatomic import PeriodicPoint, rational_periodic_points
-from .dynmap import InvariantViolation, RationalMap, apply, escape_height, preimages
+from .dynmap import InvariantViolation, RationalMap, apply, escape_height, image_pair, preimages
 from .qarith import INFINITY, ProjPoint
 
 MAX_PORTRAIT_POINTS = 10**5
@@ -222,30 +224,34 @@ def brute_force_preperiodic(phi: RationalMap, height_bound: int) -> frozenset[Pr
     escape_height(phi) is proven to wander, so the scan stops there: only
     points up to min(height_bound, escape_height(phi)) are enumerated, and
     an orbit that passes the escape height settles as wandering.
+
+    Orbits run on coordinate pairs (x, y) in ProjPoint's normal form, stepped
+    by dynmap.image_pair, the kernel behind apply, so its good-reduction
+    checks hold at every step. Verdicts and the current path are keyed by
+    those pairs, and the height test comes before any lookup; ProjPoints
+    are made only by the enumeration, and the returned set is made of them.
     """
     cutoff = escape_height(phi)
-    verdict: dict[ProjPoint, bool] = {}
+    verdict: dict[tuple[int, int], bool] = {}
 
-    def settle(P: ProjPoint) -> bool:
-        path: list[ProjPoint] = []
-        on_path: set[ProjPoint] = set()
-        cur = P
+    def settle(x: int, y: int) -> bool:
+        path: set[tuple[int, int]] = set()
         while True:
-            if cur in verdict:
-                v = verdict[cur]
-                break
-            if cur in on_path:
-                v = True  # the orbit looped, so the whole path is preperiodic
-                break
-            if cur.height() > cutoff:
+            if abs(x) > cutoff or y > cutoff:  # y >= 0 in normal form
                 v = False
                 break
-            path.append(cur)
-            on_path.add(cur)
-            cur = apply(phi, cur)
-        for Q in path:
-            verdict[Q] = v
+            key = (x, y)
+            v = verdict.get(key)
+            if v is not None:
+                break
+            if key in path:
+                v = True  # the orbit looped, so the whole path is preperiodic
+                break
+            path.add(key)
+            x, y = image_pair(phi, x, y)
+        for key in path:
+            verdict[key] = v
         return v
 
     points = rational_points_up_to(min(height_bound, cutoff))
-    return frozenset(P for P in points if settle(P))
+    return frozenset(P for P in points if settle(P.x, P.y))

@@ -16,6 +16,7 @@ from preper.dynmap import (
     build_map,
     escape_height,
     has_good_reduction,
+    image_pair,
     orbit,
     preimages,
 )
@@ -100,6 +101,35 @@ def test_apply_named_values():
     assert apply(phi, INFINITY) == ProjPoint(1, 1)
     assert apply(phi, ProjPoint(1, 1)) == ProjPoint(0, 1)
     assert apply_rational(phi, Fraction(2, 3)) == ProjPoint(1, 1)
+
+
+def test_image_pair_matches_form_evaluation():
+    # the kernel against ProjPoint(F(P), G(P)) from each form's own
+    # evaluate_point, a path that shares no arithmetic with image_pair; each
+    # denominator has a planted root R so that G(R) = 0 occurs
+    rng = random.Random(5151)
+    seen = {"negative G": 0, "zero G, negative F": 0, "gcd > 1": 0}
+    for d in (2, 3, 4, 5):
+        built = 0
+        while built < 10:
+            R = ProjPoint(rng.randrange(-6, 7), rng.randrange(1, 5))
+            cofactor = [rng.randrange(-6, 7) for _ in range(d)]
+            num = [rng.randrange(-6, 7) for _ in range(d + 1)]
+            try:
+                phi = build_map(num, poly_mul([-R.x, R.y], cofactor))
+            except DegenerateMapError:
+                continue
+            built += 1
+            points = [INFINITY, ProjPoint(0, 1), R]
+            points += [ProjPoint(rng.randrange(-30, 31), rng.randrange(1, 31)) for _ in range(20)]
+            for P in points:
+                fx, gx = phi.F.evaluate_point(P), phi.G.evaluate_point(P)
+                expected = ProjPoint(fx, gx)
+                assert image_pair(phi, P.x, P.y) == (expected.x, expected.y)
+                seen["negative G"] += gx < 0
+                seen["zero G, negative F"] += gx == 0 and fx < 0
+                seen["gcd > 1"] += math.gcd(fx, gx) > 1
+    assert all(seen.values()), seen
 
 
 def test_orbit_enters_cycle():

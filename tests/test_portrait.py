@@ -1,5 +1,6 @@
 """Portrait construction, classification, and the brute-force cross-check."""
 
+import dataclasses
 import gc
 import math
 import random
@@ -7,7 +8,14 @@ import weakref
 
 import pytest
 
-from preper.dynmap import DegenerateMapError, apply, build_map, escape_height, orbit
+from preper.dynmap import (
+    DegenerateMapError,
+    InvariantViolation,
+    apply,
+    build_map,
+    escape_height,
+    orbit,
+)
 from preper.portrait import (
     PortraitOverflowError,
     brute_force_preperiodic,
@@ -16,7 +24,7 @@ from preper.portrait import (
     default_period_cap,
     rational_points_up_to,
 )
-from preper.qarith import INFINITY, ProjPoint
+from preper.qarith import INFINITY, PrimeSet, ProjPoint
 
 
 def z_squared():
@@ -154,12 +162,44 @@ def test_overflow_guard():
 
 
 def test_brute_force_against_direct_orbits():
-    # the memoized scan must agree with one-orbit-at-a-time classification
-    phi = shifted_product_d2()
-    brute = brute_force_preperiodic(phi, 8)
-    for P in rational_points_up_to(8):
-        rec = orbit(phi, P)
-        assert (P in brute) == (rec.kind == "preperiodic")
+    # the memoized scan on coordinate pairs must agree with one-orbit-at-a-time
+    # classification on ProjPoints. The maps cover: bad prime 2 with image
+    # pairs whose gcd is divided out (the first and the last), polynomial maps
+    # that fix infinity (the last two), and escape heights on both sides of
+    # the scan height H = 8 (15, 2 and 11520)
+    H = 8
+    maps = (
+        shifted_product_d2(),
+        z_squared_plus_one(),
+        build_map([-29, 0, 16], [16]),  # z^2 - 29/16, with a 3-cycle at -1/4
+    )
+    heights = sorted(escape_height(phi) for phi in maps)
+    assert heights[0] < H < heights[-1]
+    for phi in maps:
+        brute = brute_force_preperiodic(phi, H)
+        for P in rational_points_up_to(H):
+            rec = orbit(phi, P)
+            assert (P in brute) == (rec.kind == "preperiodic")
+    for phi in (maps[0], maps[2]):
+        assert phi.bad_primes.primes == (2,)
+        assert any(
+            math.gcd(phi.F.evaluate_point(P), phi.G.evaluate_point(P)) > 1
+            for P in rational_points_up_to(H)
+        )
+    for phi in maps[1:]:
+        assert apply(phi, INFINITY) == INFINITY
+    assert ProjPoint(-1, 4) in brute_force_preperiodic(maps[2], H)
+
+
+def test_stray_image_factor_raises_in_apply_and_the_oracle():
+    # z^2/2 with its bad prime 2 dropped from the record: gcd(F, G) = 2 at
+    # [2 : 1] is then a factor outside the bad primes, and both apply and the
+    # oracle's pair iteration must refuse it
+    phi = dataclasses.replace(build_map([0, 0, 1], [2]), bad_primes=PrimeSet(()))
+    with pytest.raises(InvariantViolation, match="outside the bad primes"):
+        apply(phi, ProjPoint(2, 1))
+    with pytest.raises(InvariantViolation, match="outside the bad primes"):
+        brute_force_preperiodic(phi, 5)
 
 
 def test_brute_force_keeps_a_cycle_above_any_fixed_cutoff():
