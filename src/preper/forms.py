@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import chain, islice, zip_longest
 from typing import Iterator, Optional, Sequence
 
 from .qarith import (
@@ -370,7 +370,8 @@ def exact_divide(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 # the residue screen of root candidates uses this many small primes, the
 # least ones from _SCREEN_PRIME_MIN up that do not divide the leading
 # coefficient; building it costs about p^2 steps per prime, and a non-root
-# passes a prime with chance about (roots of the core mod p) / p
+# passes a prime with chance about (roots of the core mod p) / p.  A prime
+# with no root at all proves that the core has no rational root.
 _SCREEN_PRIME_COUNT = 3
 _SCREEN_PRIME_MIN = 61
 
@@ -379,10 +380,11 @@ _SCREEN_PRIME_MIN = 61
 class RootResult:
     """Rational roots with multiplicity, and whether the list is certified full.
 
-    complete degrades to False when the leading/trailing coefficient could not
-    be fully factored inside the budget or the candidate enumeration was
-    capped; the roots returned are still genuine roots.  The residue screen
-    of the candidates never rejects a true root, so it has no say in complete.
+    complete is True when a screen prime proves that the core has no
+    rational root, whatever the factoring did.  Otherwise it degrades to
+    False when the leading/trailing coefficient could not be fully factored
+    inside the budget or the candidate walk was capped; the roots returned
+    are still genuine roots.  The residue screen never rejects a true root.
     """
 
     roots: tuple[tuple[ProjPoint, int], ...]
@@ -450,6 +452,48 @@ def _default_factor_budget(n: int) -> dict:
     return {"rho_steps": 30_000, "rho_restarts": 6}
 
 
+def _screened_candidates(
+    lead_factors: tuple[tuple[int, int], ...],
+    trail_factors: tuple[tuple[int, int], ...],
+    screen: list[tuple[int, frozenset[int]]],
+    cap: int,
+) -> tuple[list[tuple[int, int]], bool]:
+    """The coprime (a, b), a | trail and b | lead, that pass every screen prime.
+
+    Every screen prime must have a root.  The sparsest one, p0, picks the
+    candidates: the signed numerators are listed once and bucketed by their
+    residue mod p0, and a denominator b visits only the buckets r*b mod p0
+    for the roots r mod p0.  Within each b the candidates keep the order of
+    the full divisor-pair walk, so a capped walk still covers every root
+    that a capped full walk would reach.  Returns the candidates, and False
+    when the listing or the walk reached cap, which bounds both.
+    """
+    p0, roots0 = min(screen, key=lambda s: len(s[1]) / s[0])
+    rest = [(p, roots) for p, roots in screen if p != p0]
+    signed = (a for a_abs in iter_divisors(trail_factors) for a in (a_abs, -a_abs))
+    numerators = list(islice(signed, cap + 1))
+    within_cap = len(numerators) <= cap
+    del numerators[cap:]
+    buckets: dict[int, list[int]] = {}
+    for i, a in enumerate(numerators):
+        buckets.setdefault(a % p0, []).append(i)
+    passed = []
+    tried = 0
+    for b in iter_divisors(lead_factors):
+        checks = [(p, pow(b, -1, p), roots) for p, roots in rest]
+        for i in sorted(chain.from_iterable(buckets.get(r * b % p0, ()) for r in roots0)):
+            tried += 1
+            if tried > cap:
+                return passed, False
+            a = numerators[i]
+            if math.gcd(a, b) != 1:
+                continue
+            if any(a * b_inv % p not in roots for p, b_inv, roots in checks):
+                continue
+            passed.append((a, b))
+    return passed, within_cap
+
+
 def rational_roots(
     f: BinaryForm,
     *,
@@ -466,6 +510,8 @@ def rational_roots(
     root of core(x, 1) mod p; those roots are found once per form.  As b
     divides the leading coefficient it is a unit mod p, and
     core(a, b) = b^deg * core(a/b, 1), so the screen never drops a true root.
+    In particular a screen prime with no root proves that the core has no
+    rational root: then there is no candidate, and the result is complete.
     """
     if f.is_zero:
         raise ValueError("zero form vanishes everywhere")
@@ -484,31 +530,17 @@ def rational_roots(
         )
         fr_trail: FactorResult = factor(trail, **fk)
         fr_lead: FactorResult = factor(lead, **fk)
-        complete = fr_trail.complete and fr_lead.complete
-        core_form = BinaryForm(core)
         screen = _residue_screen(core)
-        tried = 0
-        done = False
-        for b in iter_divisors(fr_lead.factors):
-            if done:
-                break
-            checks = [(p, pow(b, -1, p), roots) for p, roots in screen]
-            for a_abs in iter_divisors(fr_trail.factors):
-                for a in (a_abs, -a_abs):
-                    tried += 1
-                    if tried > candidate_cap:
-                        complete = False
-                        done = True
-                        break
-                    if math.gcd(a_abs, b) != 1:
-                        continue
-                    if any(a * b_inv % p not in roots for p, b_inv, roots in checks):
-                        continue
-                    if core_form.evaluate(a, b) == 0:
-                        P = ProjPoint(a, b)
-                        found.append((P, root_multiplicity(core_form, P)))
-                if done:
-                    break
+        if all(roots for _, roots in screen):
+            candidates, within_cap = _screened_candidates(
+                fr_lead.factors, fr_trail.factors, screen, candidate_cap
+            )
+            complete = fr_trail.complete and fr_lead.complete and within_cap
+            core_form = BinaryForm(core)
+            for a, b in candidates:
+                if core_form.evaluate(a, b) == 0:
+                    P = ProjPoint(a, b)
+                    found.append((P, root_multiplicity(core_form, P)))
     found.sort(key=lambda pm: pm[0].sort_key())
     if sum(m for _, m in found) > f.degree:
         raise InvariantViolation("root multiplicities exceed the degree")

@@ -226,8 +226,11 @@ def test_json_output_is_bit_stable(capsys):
     ],
 )
 def test_json_output_matches_recorded_bytes(capsys, argv, recorded):
-    # recorded before the residue screen of root candidates; a change that
-    # is meant only to be faster must keep these documents byte for byte
+    # recorded before the residue screen of root candidates, except that
+    # ex51 d=1..3 and the cubic were re-recorded when a screen prime with no
+    # root came to prove root searches complete (one "roots_complete" line
+    # each, false -> true); a change that is meant only to be faster must
+    # keep these documents byte for byte
     assert main(["analyze", *argv, "--format", "json"]) == 0
     assert capsys.readouterr().out == (DATA / recorded).read_text()
 

@@ -1,8 +1,4 @@
-"""Smoke test: the quick demos run to completion.
-
-Demo 02 is left out for its running time; acceptance criteria 1 and 2 and
-test_families cover its families.
-"""
+"""Smoke test: every demo runs to completion."""
 
 import os
 import subprocess
@@ -18,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
     "demo",
     [
         "01_quadratic_portrait.py",
+        "02_sharpness_families.py",
         "03_certificates.py",
         "04_bound_zoo.py",
         "05_dynatomic.py",

@@ -17,6 +17,7 @@ from preper.forms import (
     _SCREEN_PRIME_MIN,
     BinaryForm,
     _residue_screen,
+    _strip_monomials,
     InexactDivisionError,
     exact_divide,
     form_from_poly,
@@ -26,7 +27,7 @@ from preper.forms import (
     resultant_cofactors,
     substitute_pair,
 )
-from preper.qarith import ProjPoint, divisor_count, factor
+from preper.qarith import ProjPoint, divisor_count, factor, iter_divisors
 
 
 # ---------------------------------------------------------------------------
@@ -461,21 +462,139 @@ def test_rational_roots_against_brute_scan():
     assert checked > 200
 
 
+HARD_SEMIPRIME = (2**127 - 1) * (2**89 - 1)
+STARVED_BUDGET = {"trial_bound": 10**3, "rho_steps": 10, "rho_restarts": 1}
+
+
 def test_rational_roots_incomplete_when_budget_starved():
     # leading and trailing coefficients are a hard semiprime; with a starved
-    # factoring budget the finder must degrade its completeness claim
-    p = 2**127 - 1
-    q = 2**89 - 1
-    hard = p * q
-    f = BinaryForm((hard, 1, 1, hard))
-    rr = rational_roots(f, factor_kwargs={"trial_bound": 10**3, "rho_steps": 10, "rho_restarts": 1})
+    # factoring budget the finder must degrade its completeness claim.  The
+    # core has a root mod every screen prime, so no prime proves it rootless
+    core = (HARD_SEMIPRIME, 1, 1, HARD_SEMIPRIME)
+    assert all(roots for _, roots in _residue_screen(core))
+    rr = rational_roots(BinaryForm(core), factor_kwargs=STARVED_BUDGET)
     assert not rr.complete
+
+
+ROOTLESS_MOD_67 = (HARD_SEMIPRIME, 0, 2, HARD_SEMIPRIME)
+
+
+@pytest.mark.parametrize(
+    "f, want",
+    [
+        (BinaryForm(ROOTLESS_MOD_67), {}),
+        # X^2 * Y * core: the roots [0:1] and [1:0] stay
+        (BinaryForm((0,) + ROOTLESS_MOD_67 + (0, 0)), {ProjPoint(1, 0): 1, ProjPoint(0, 1): 2}),
+    ],
+)
+def test_rational_roots_complete_when_a_screen_prime_has_no_root(f, want):
+    # the same hard ends and starved budget, but the core has no root mod 67
+    # (a screen prime other than the first): no rational root can exist,
+    # whatever the factoring did
+    assert [p for p, roots in _residue_screen(ROOTLESS_MOD_67) if not roots] == [67]
+    rr = rational_roots(f, factor_kwargs=STARVED_BUDGET)
+    assert rr.complete
+    assert rr.as_dict() == want
 
 
 def test_rational_roots_respects_candidate_cap():
-    f = BinaryForm((2 * 3 * 5 * 7 * 11 * 13, 1, 1, 2 * 3 * 5 * 7 * 11 * 13))
-    rr = rational_roots(f, candidate_cap=10)
+    core = (2 * 3 * 5 * 7 * 11 * 13, 1, 1, 2 * 3 * 5 * 7 * 11 * 13)
+    assert all(roots for _, roots in _residue_screen(core))
+    rr = rational_roots(BinaryForm(core), candidate_cap=10)
     assert not rr.complete
+
+
+def _divisors_by_trial(n):
+    n = abs(n)
+    small = [k for k in range(1, math.isqrt(n) + 1) if n % k == 0]
+    return sorted(set(small + [n // k for k in small]))
+
+
+def full_divisor_walk_roots(f: BinaryForm) -> set:
+    """Every coprime a/b with a | trail and b | lead, evaluated exactly: the
+    rational-root-theorem oracle, with no screen.  Small end coefficients only."""
+    out = {P for P in (ProjPoint(1, 0), ProjPoint(0, 1)) if f.evaluate_point(P) == 0}
+    core = list(f.coeffs)
+    while core[0] == 0:
+        core.pop(0)
+    while core[-1] == 0:
+        core.pop()
+    h = BinaryForm(tuple(core))
+    for b in _divisors_by_trial(core[0]):
+        for a_abs in _divisors_by_trial(core[-1]):
+            for a in (a_abs, -a_abs):
+                if math.gcd(a, b) == 1 and h.evaluate(a, b) == 0:
+                    out.add(ProjPoint(a, b))
+    return out
+
+
+def test_rational_roots_matches_full_divisor_walk():
+    # planted linear factors (bX - aY), some with 61 | b so that 61 divides
+    # the leading coefficient and drops out of the screen, times a random
+    # cofactor; the sparsest screen prime is not always the first one
+    rng = random.Random(91)
+    sparsest_not_first = lead_61 = with_roots = 0
+    for trial in range(150):
+        f = BinaryForm(tuple(rng.randrange(-9, 10) or 1 for _ in range(rng.randrange(1, 4))))
+        for _ in range(rng.randrange(0, 4)):
+            b = 61 * rng.randrange(1, 3) if trial % 4 == 0 else rng.randrange(1, 13)
+            f = f * BinaryForm((b, -rng.randrange(-12, 13)))
+        if rng.random() < 0.2:
+            f = f * BinaryForm((1, 0))
+        if f.is_zero:
+            continue
+        want = full_divisor_walk_roots(f)
+        rr = rational_roots(f)
+        assert rr.points() == want, f
+        assert rr.complete
+        _, _, core = _strip_monomials(f.primitive())
+        if len(core) > 1:
+            screen = _residue_screen(core)
+            p0 = min(screen, key=lambda s: len(s[1]) / s[0])[0]
+            sparsest_not_first += p0 != screen[0][0]
+            lead_61 += core[0] % 61 == 0
+        with_roots += bool(want)
+    assert sparsest_not_first >= 10 and lead_61 >= 10 and with_roots >= 50
+
+
+def capped_full_walk(f: BinaryForm, cap: int) -> tuple[set, bool]:
+    """The roots among the first `cap` candidates of the rational root theorem
+    walk (denominators outer, signed numerators inner, both in iter_divisors
+    order), and whether that walk was cut."""
+    lead, trail = f.coeffs[0], f.coeffs[-1]
+    pairs = [
+        (a, b)
+        for b in iter_divisors(factor(lead).factors)
+        for a_abs in iter_divisors(factor(trail).factors)
+        for a in (a_abs, -a_abs)
+    ]
+    roots = {ProjPoint(a, b) for a, b in pairs[:cap] if math.gcd(a, b) == 1 and f.evaluate(a, b) == 0}
+    return roots, len(pairs) > cap
+
+
+def test_capped_walk_keeps_the_roots_of_a_capped_full_walk():
+    # the screened walk, capped like the full walk, finds at least the full
+    # walk's roots, and is cut only if the full walk was
+    rng = random.Random(17)
+    cores = []
+    for _ in range(40):
+        f = BinaryForm((1,))
+        for _ in range(rng.randrange(2, 6)):
+            f = f * BinaryForm((rng.choice((1, 1, 2, 3)), rng.choice((-1, 1)) * rng.randrange(1, 7)))
+        cores.append((f.primitive(), rng.randrange(1, 30)))
+    # (2X - Y) * g with g = (X^2 - Y^2)(X + Y/2)(X + 2Y) mod 61*67*71 and g(0, 1) = -1:
+    # the candidates with b = 2 reach the cap in the middle of their
+    # allowed residue classes, and the root 1/2 comes first in divisor order
+    M = 61 * 67 * 71
+    g = BinaryForm((1, 0, -1)) * BinaryForm((1, pow(2, -1, M))) * BinaryForm((1, 2))
+    g = BinaryForm(tuple(c % M for c in g.coeffs[:-1]) + (-1,))
+    cores += [(BinaryForm((2, -1)) * g, cap) for cap in range(1, 6)]
+    for f, cap in cores:
+        want, cut = capped_full_walk(f, cap)
+        rr = rational_roots(f, candidate_cap=cap)
+        assert want <= rr.points(), (f, cap)
+        assert rr.complete or cut
+    assert ProjPoint(1, 2) in capped_full_walk(cores[-3][0], 3)[0]
 
 
 def _is_prime_by_trial(n):
