@@ -734,11 +734,27 @@ def make_parser() -> argparse.ArgumentParser:
 _parser: Optional[argparse.ArgumentParser] = None
 
 
+def _join_map_values(argv: Sequence[str]) -> list[str]:
+    """argv with every `--map VALUE` written `--map=VALUE`.
+
+    argparse reads a separate value that starts with '-', as in
+    `--map -x^2+3`, as an option and rejects it; joined to its flag it is
+    the value.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--map":
+            out[-1] = f"--map={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     global _parser
     if _parser is None:  # once per process, through the module's make_parser binding
         _parser = make_parser()
-    args = _parser.parse_args(argv)
+    args = _parser.parse_args(_join_map_values(sys.argv[1:] if argv is None else argv))
     try:
         return _run(args)
     except DegenerateMapError as e:

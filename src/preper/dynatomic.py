@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .dynmap import InvariantViolation, RationalMap, apply
-from .forms import BinaryForm, exact_divide, iterate_pairs, rational_roots
+from .forms import BinaryForm, exact_divide, iterate_pairs, period_step, rational_roots
 from .qarith import ProjPoint
 
 # Degree/period pairs (n, d) for which a degree-d map may have no point of
@@ -56,14 +56,26 @@ def formal_period_degree(d: int, n: int) -> int:
 
 
 def _period_forms(phi: RationalMap, n: int) -> list[BinaryForm]:
-    """Phi_k for k = 1..n, from one walk of the iterate chain."""
+    """Phi_k for k = 1..n, from one walk of the iterate chain.
+
+    The walk stops at (F_(n-1), G_(n-1)): each Phi_k = Y*F_k - X*G_k below
+    the top is a shift of a pair the walk needs anyway, and Phi_n comes from
+    period_step on the last pair, so F_n and G_n, the largest forms, are
+    never built.  For n = 1, Phi_1 = Y*F - X*G.
+    """
     out = []
-    for Fk, Gk in iterate_pairs(phi.F, phi.G, n):
-        form = BinaryForm((0,) + Fk.coeffs) - BinaryForm(Gk.coeffs + (0,))
-        if form.is_zero:
-            raise InvariantViolation("period form vanished identically")
-        out.append(form.primitive())
+    for Fk, Gk in iterate_pairs(phi.F, phi.G, max(n - 1, 1)):
+        shifted = BinaryForm((0,) + Fk.coeffs) - BinaryForm(Gk.coeffs + (0,))
+        out.append(_primitive_period_form(shifted))
+    if n > 1:
+        out.append(_primitive_period_form(period_step(phi.F, phi.G, Fk, Gk)))
     return out
+
+
+def _primitive_period_form(form: BinaryForm) -> BinaryForm:
+    if form.is_zero:
+        raise InvariantViolation("period form vanished identically")
+    return form.primitive()
 
 
 @dataclass(frozen=True)

@@ -192,26 +192,66 @@ def form_from_poly(coeffs_ascending: list, degree: int) -> BinaryForm:
     return BinaryForm(tuple(out))
 
 
+def _horner_in_a(
+    rows: Sequence[Sequence[tuple[int, ...]]], A: BinaryForm, B: BinaryForm
+) -> list[BinaryForm]:
+    """sum_i c_i * A^(d-i) * B^i for each row (c_0, ..., c_d) of coefficients.
+
+    Each c_i is the coefficient tuple of a small form, of one degree per row.
+    Horner's rule in A: acc <- acc*A + c_i*B^i, starting from acc = c_0, so
+    no monomial A^(d-i) B^i is ever formed.  Each power B^i is formed once
+    and shared by the rows, so a row pays one form product per coefficient,
+    plus d - 1 products for the powers of B in all.  c_i*B^i is a shifted and
+    scaled copy of B^i per coefficient of c_i, not a form product.
+    """
+    if A.degree != B.degree:
+        raise ValueError("the forms of a pair must share a degree")
+    accs = [BinaryForm(row[0]) for row in rows]
+    bpow = B
+    for i in range(1, len(rows[0])):
+        if i > 1:
+            bpow = bpow * B
+        b = bpow.coeffs
+        for r, row in enumerate(rows):
+            acc = list((accs[r] * A).coeffs)
+            for shift, c in enumerate(row[i]):
+                if c:
+                    for k, x in enumerate(b, shift):
+                        acc[k] += c * x
+            accs[r] = BinaryForm(acc)
+    return accs
+
+
 def substitute_pair(
     F: BinaryForm, G: BinaryForm, A: BinaryForm, B: BinaryForm
 ) -> tuple[BinaryForm, BinaryForm]:
-    """(F(A, B), G(A, B)) by Horner's rule in A over one table of the powers of B.
+    """(F(A, B), G(A, B)) by Horner's rule in A, sharing the powers of B.
 
-    acc <- acc*A + f_i*B^i, so no monomial A^(d-i) B^i is ever formed.
+    acc <- acc*A + f_i*B^i for F and for G: two form products per
+    coefficient pair (see _horner_in_a).
     """
-    if F.degree != G.degree or A.degree != B.degree:
+    if F.degree != G.degree:
         raise ValueError("the forms of a pair must share a degree")
-    bpow = [B]
-    for _ in range(F.degree - 1):
-        bpow.append(bpow[-1] * B)
-    f_acc, g_acc = BinaryForm(F.coeffs[:1]), BinaryForm(G.coeffs[:1])
-    for f, g, b in zip(F.coeffs[1:], G.coeffs[1:], bpow):
-        f_acc, g_acc = f_acc * A, g_acc * A
-        if f:
-            f_acc = f_acc + b.scale(f)
-        if g:
-            g_acc = g_acc + b.scale(g)
+    f_acc, g_acc = _horner_in_a(
+        ([(f,) for f in F.coeffs], [(g,) for g in G.coeffs]), A, B
+    )
     return f_acc, g_acc
+
+
+def period_step(F: BinaryForm, G: BinaryForm, A: BinaryForm, B: BinaryForm) -> BinaryForm:
+    """Y*F(A, B) - X*G(A, B), without forming F(A, B) or G(A, B).
+
+    Horner's rule in A with the linear coefficients Y*f_i - X*g_i:
+    acc <- acc*A + (Y*f_i - X*g_i)*B^i from acc = Y*f_0 - X*g_0, by the
+    Horner loop that substitute_pair runs: one form product per coefficient
+    pair where substitute_pair pays two.  With (A, B) = (F_k, G_k) this is
+    the period form Y*F_(k+1) - X*G_(k+1), not yet made primitive.
+    """
+    if F.degree != G.degree:
+        raise ValueError("the forms of a pair must share a degree")
+    # the form Y*f - X*g has coefficients (-g, f) on (X, Y)
+    (acc,) = _horner_in_a(([(-g, f) for f, g in zip(F.coeffs, G.coeffs)],), A, B)
+    return acc
 
 
 def iterate_pairs(F: BinaryForm, G: BinaryForm, n: int) -> Iterator[tuple[BinaryForm, BinaryForm]]:

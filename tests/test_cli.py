@@ -3,6 +3,7 @@
 import json
 import random
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -166,6 +167,19 @@ def test_exit_code_on_invariant_failure(capsys, monkeypatch):
     monkeypatch.setattr(cli, "build_portrait", explode)
     assert main(["analyze", "--map", "x^2"]) == 4
     assert "invariant" in capsys.readouterr().err
+
+
+def test_map_value_may_start_with_a_minus(capsys, monkeypatch):
+    # a separate value that starts with "-" is the map, as with "--map=..."
+    for value, code in (("-x^2+3", 0), ("-x", 3)):
+        assert main(["analyze", f"--map={value}", "--max-period", "3"]) == code
+        joined = capsys.readouterr()
+        assert main(["analyze", "--map", value, "--max-period", "3"]) == code
+        assert capsys.readouterr() == joined
+        monkeypatch.setattr(sys, "argv", ["preper", "analyze", "--map", value, "--max-period", "3"])
+        assert main() == code
+        assert capsys.readouterr() == joined
+        assert (f"== {value} ==" in joined.out) == (code == 0)
 
 
 def test_exit_code_success(capsys):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from preper import forms
+from preper import dynatomic, forms
 from preper.dynatomic import (
     BAKER_EXCEPTIONAL_PAIRS,
     baker_degree_check,
@@ -16,6 +16,7 @@ from preper.dynatomic import (
     rational_periodic_points,
 )
 from preper.dynmap import DegenerateMapError, apply, build_map
+from preper.families import FamilySpec, family_n_max, generate
 from preper.forms import BinaryForm, root_multiplicity
 from preper.qarith import INFINITY, ProjPoint
 
@@ -381,19 +382,84 @@ def test_periodic_search_rejects_a_horizon_below_one():
 
 
 def test_periodic_search_walks_the_iterate_chain_once(monkeypatch):
-    # one substitute_pair call per iterate step: n_max - 1 of them for the
-    # whole search
+    # one step kernel call per iterate step, n_max - 1 of them for the whole
+    # search: substitute_pair for F_2 .. F_(n_max - 1), then period_step for
+    # the top period form
     steps = []
-    step = forms.substitute_pair
 
-    def counted(*args):
-        steps.append(args)
-        return step(*args)
+    def counting(module, name):
+        step = getattr(module, name)
 
-    monkeypatch.setattr(forms, "substitute_pair", counted)
+        def counted(*args):
+            steps.append(name)
+            return step(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(forms, "substitute_pair")
+    counting(dynatomic, "period_step")
     res = rational_periodic_points(shifted_product_d2(), 6)
     assert len(res.points) == 3
-    assert len(steps) == 5
+    assert steps == ["substitute_pair"] * 4 + ["period_step"]
+
+
+def _random_map(rng, d, *, denominator=None, zero_lead=False):
+    """A seeded map of degree d, coefficients in [-9, 9] with some zeros.
+
+    denominator "x^d" gives G = X^d and "1" gives G = Y^d; zero_lead makes
+    F(1, 0) = 0.
+    """
+    while True:
+        num = [rng.choice((0, rng.randint(-9, 9))) for _ in range(d)] + [rng.randint(1, 9)]
+        if denominator == "x^d":
+            den = [0] * d + [1]
+        elif denominator == "1":
+            den = [1]
+        else:
+            den = [rng.choice((0, rng.randint(-9, 9))) for _ in range(d + 1)]
+            den[d] = den[d] or 1
+        if zero_lead:
+            num[d], den[d] = 0, rng.randint(1, 9)
+        try:
+            return build_map(num, den)
+        except DegenerateMapError:
+            continue
+
+
+def _period_forms_from_pairs(phi, n):
+    return [
+        (BinaryForm((0,) + Fk.coeffs) - BinaryForm(Gk.coeffs + (0,))).primitive()
+        for Fk, Gk in forms.iterate_pairs(phi.F, phi.G, n)
+    ]
+
+
+def test_period_forms_match_the_full_iterate_pairs():
+    # Phi_n from period_step equals (Y*F_n - X*G_n).primitive() from the
+    # full pairs, on seeded maps with zero coefficients, G = X^d, G = Y^d
+    # (polynomials) and F with a zero leading coefficient; degree 2..5 and
+    # n = 1..5 while d^n <= 625 keeps the reference pairs affordable
+    rng = random.Random(2016)
+    kinds = [{}, {"denominator": "x^d"}, {"denominator": "1"}, {"zero_lead": True}]
+    cases = [(d, n) for d in range(2, 6) for n in range(1, 6) if d**n <= 625]
+    for i, (d, n) in enumerate(cases):
+        for kind in kinds:
+            phi = _random_map(rng, d, **kind)
+            if "zero_lead" in kind:
+                assert phi.F.coeffs[0] == 0
+            got = dynatomic._period_forms(phi, n)
+            assert got == _period_forms_from_pairs(phi, n), (d, n, kind, i)
+            assert got[-1].degree == d**n + 1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FamilySpec("ex52", d) for d in range(2, 9)] + [FamilySpec("ex51", d) for d in range(1, 4)],
+    ids=lambda spec: f"{spec.family}-d{spec.d}",
+)
+def test_period_forms_match_the_full_iterate_pairs_on_the_families(spec):
+    phi = generate(spec)
+    n = family_n_max(spec)
+    assert dynatomic._period_forms(phi, n) == _period_forms_from_pairs(phi, n)
 
 
 def test_baker_exceptional_pairs():

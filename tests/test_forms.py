@@ -22,6 +22,7 @@ from preper.forms import (
     exact_divide,
     form_from_poly,
     iterate_pairs,
+    period_step,
     rational_roots,
     resultant,
     resultant_cofactors,
@@ -259,8 +260,9 @@ def test_compose_matches_affine_iteration():
 
 
 def test_substitute_pair_matches_pointwise_evaluation():
-    # F(A, B)(x, y) = F(A(x, y), B(x, y)), the same for G, with inner forms
-    # long enough to cross the Karatsuba cutoff; outer pairs of degree 2..8
+    # F(A, B)(x, y) = F(A(x, y), B(x, y)), the same for G, and period_step
+    # gives y*F(a, b) - x*G(a, b), with inner forms long enough to cross the
+    # Karatsuba cutoff; outer pairs of degree 2..8
     # with zero first coefficients and G = X^d as in ex51/ex52
     rng = random.Random(1962)
     for case in range(40):
@@ -278,18 +280,23 @@ def test_substitute_pair_matches_pointwise_evaluation():
         A = BinaryForm(tuple(random_coeffs(rng, e + 1, rng.randrange(1, 300), 0.1)))
         B = BinaryForm(tuple(random_coeffs(rng, e + 1, rng.randrange(1, 300), 0.1)))
         FA, GA = substitute_pair(F, G, A, B)
-        assert FA.degree == GA.degree == d * e
+        top = period_step(F, G, A, B)
+        assert FA.degree == GA.degree == top.degree - 1 == d * e
         for _ in range(4):
             x, y = rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6)
             a, b = A.evaluate(x, y), B.evaluate(x, y)
             assert FA.evaluate(x, y) == F.evaluate(a, b)
             assert GA.evaluate(x, y) == G.evaluate(a, b)
+            assert top.evaluate(x, y) == y * F.evaluate(a, b) - x * G.evaluate(a, b)
 
 
 def test_substitute_rejects_degree_mismatch():
     outer = BinaryForm((1, 0))
-    with pytest.raises(ValueError):
-        substitute_pair(outer, outer, BinaryForm((1, 0)), BinaryForm((1, 0, 0)))
+    for step in (substitute_pair, period_step):
+        with pytest.raises(ValueError):
+            step(outer, outer, BinaryForm((1, 0)), BinaryForm((1, 0, 0)))
+        with pytest.raises(ValueError):
+            step(outer, BinaryForm((1, 0, 0)), BinaryForm((1, 0)), BinaryForm((0, 1)))
 
 
 # ---------------------------------------------------------------------------
