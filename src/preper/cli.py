@@ -667,9 +667,14 @@ def _run(args) -> int:
     JSON is one document, or a list of them for several maps; text puts
     each piece under its label; DOT pieces are concatenated.
     """
-    # analyze takes 0 for "no oracle"; checked here, before any portrait is built
-    if getattr(args, "height_oracle", 1) < (1 if args.command == "oracle" else 0):
-        raise ValueError("height bound must be at least 1")
+    # checked here, before any portrait is built
+    height = getattr(args, "height_oracle", 1)
+    if args.command == "oracle" and height < 1:
+        raise ValueError(f"oracle --height-oracle takes a height of at least 1, got {height}")
+    if height < 0:
+        raise ValueError(
+            f"analyze --height-oracle takes 0 (no oracle) or a height of at least 1, got {height}"
+        )
     pieces = []
     for label, phi, default_n in _selected_maps(args):
         portrait = None

@@ -46,12 +46,12 @@ def _product(a: Sequence[int], b: Sequence[int]) -> list[int]:
         a, b = b, a
     m, n = len(a), len(b)
     out = [0] * (m + n - 1)
-    a_terms = [(i, x) for i, x in enumerate(a) if x]
-    b_terms = [(j, y) for j, y in enumerate(b) if y]
-    if min(len(a_terms), len(b_terms)) < _KARATSUBA_CUTOFF:
-        for i, x in a_terms:
-            for j, y in b_terms:
-                out[i + j] += x * y
+    if min(m - a.count(0), n - b.count(0)) < _KARATSUBA_CUTOFF:
+        b_terms = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in b_terms:
+                    out[i + j] += x * y
     elif m >= 2 * n:
         for s in range(0, m, n):
             for k, c in enumerate(_product(a[s : s + n], b), s):

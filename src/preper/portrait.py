@@ -12,9 +12,12 @@ were exhaustive, and the portrait carries those flags.
 point up to a height bound by direct iteration, sharing verdicts along orbits
 so large scans stay cheap. An orbit that passes the map's escape height
 provably wanders (heights grow at every step above it), so no point above
-that height is ever enumerated or iterated further. The scan iterates plain
-coordinate pairs through `dynmap.image_pair`, the same map-step kernel, with
-the same good-reduction checks, that `apply` wraps for ProjPoints.
+that height is ever enumerated or iterated further. The scan walks bare
+coordinate pairs and steps them through `dynmap.image_pair`, the same
+map-step kernel, with the same good-reduction checks, that `apply` wraps for
+ProjPoints. Nearly every scanned point leaves the escape height in one step;
+such a point is settled by that one step, with no verdict or path kept, and
+only the points returned are made into ProjPoints.
 """
 
 import math
@@ -23,7 +26,7 @@ from typing import Iterator, Optional
 
 from .dynatomic import PeriodicPoint, rational_periodic_points
 from .dynmap import InvariantViolation, RationalMap, apply, escape_height, image_pair, preimages
-from .qarith import INFINITY, ProjPoint
+from .qarith import ProjPoint
 
 MAX_PORTRAIT_POINTS = 10**5
 
@@ -205,15 +208,21 @@ def classify(portrait: Portrait) -> PortraitCounts:
     )
 
 
-def rational_points_up_to(height_bound: int) -> Iterator[ProjPoint]:
-    """All points [x : y] with max(|x|, |y|) <= height_bound, plus infinity."""
+def _coprime_pairs_up_to(height_bound: int) -> Iterator[tuple[int, int]]:
+    """The normal-form pairs of rational_points_up_to, in its order: (1, 0) first."""
     if height_bound < 1:
         raise ValueError("height bound must be at least 1")
-    yield INFINITY
+    yield 1, 0
     for y in range(1, height_bound + 1):
         for x in range(-height_bound, height_bound + 1):
             if math.gcd(x, y) == 1:  # a non-coprime pair repeats a point already listed
-                yield ProjPoint(x, y)
+                yield x, y
+
+
+def rational_points_up_to(height_bound: int) -> Iterator[ProjPoint]:
+    """All points [x : y] with max(|x|, |y|) <= height_bound, plus infinity."""
+    for x, y in _coprime_pairs_up_to(height_bound):
+        yield ProjPoint(x, y)
 
 
 def brute_force_preperiodic(phi: RationalMap, height_bound: int) -> frozenset[ProjPoint]:
@@ -225,21 +234,24 @@ def brute_force_preperiodic(phi: RationalMap, height_bound: int) -> frozenset[Pr
     points up to min(height_bound, escape_height(phi)) are enumerated, and
     an orbit that passes the escape height settles as wandering.
 
-    Orbits run on coordinate pairs (x, y) in ProjPoint's normal form, stepped
-    by dynmap.image_pair, the kernel behind apply, so its good-reduction
-    checks hold at every step. Verdicts and the current path are keyed by
-    those pairs, and the height test comes before any lookup; ProjPoints
-    are made only by the enumeration, and the returned set is made of them.
+    The scan walks the bare coordinate pairs of rational_points_up_to and
+    steps them with dynmap.image_pair, the kernel behind apply, so its
+    good-reduction checks hold at every step. Most points leave in one
+    step: a scanned pair with no verdict is stepped once, and if that image
+    is above the escape height the pair wanders with no bookkeeping at all;
+    no verdict is kept, and an orbit that reaches it later steps it again.
+    Otherwise its orbit is followed on from that image, and every pair on
+    the path gets the verdict. Each step is followed by one height test, so
+    no pair above the escape height is ever stepped. ProjPoints are made
+    only for the points returned.
     """
     cutoff = escape_height(phi)
     verdict: dict[tuple[int, int], bool] = {}
 
-    def settle(x: int, y: int) -> bool:
-        path: set[tuple[int, int]] = set()
+    def settle(path: set[tuple[int, int]], x: int, y: int) -> bool:
+        # (x, y) is at or below the escape height: the image of the pair
+        # last added to path
         while True:
-            if abs(x) > cutoff or y > cutoff:  # y >= 0 in normal form
-                v = False
-                break
             key = (x, y)
             v = verdict.get(key)
             if v is not None:
@@ -249,9 +261,19 @@ def brute_force_preperiodic(phi: RationalMap, height_bound: int) -> frozenset[Pr
                 break
             path.add(key)
             x, y = image_pair(phi, x, y)
+            if abs(x) > cutoff or y > cutoff:  # y >= 0 in normal form
+                v = False
+                break
         for key in path:
             verdict[key] = v
         return v
 
-    points = rational_points_up_to(min(height_bound, cutoff))
-    return frozenset(P for P in points if settle(P.x, P.y))
+    found = []
+    for x, y in _coprime_pairs_up_to(min(height_bound, cutoff)):
+        v = verdict.get((x, y))
+        if v is None:
+            fx, fy = image_pair(phi, x, y)
+            v = abs(fx) <= cutoff and fy <= cutoff and settle({(x, y)}, fx, fy)
+        if v:
+            found.append(ProjPoint(x, y))
+    return frozenset(found)

@@ -458,16 +458,21 @@ def test_max_period_below_one_is_rejected(capsys):
 def test_bad_height_oracle_is_rejected_before_any_portrait(capsys, monkeypatch):
     built = []
     monkeypatch.setattr(cli, "build_portrait", lambda *a: built.append(a))
+    # each message names what its subcommand accepts: analyze takes 0 for
+    # "no oracle", oracle needs a height
+    analyze = "error: analyze --height-oracle takes 0 (no oracle) or a height of at least 1, got {}\n"
+    oracle = "error: oracle --height-oracle takes a height of at least 1, got {}\n"
     cases = [
-        ["analyze", "--family", "ex52", "--d-range", "2:6", "--height-oracle", "-1"],
-        ["oracle", "--map", "x^2", "--height-oracle", "0"],
-        ["oracle", "--map", "x^2", "--height-oracle", "-3"],
+        (["analyze", "--family", "ex52", "--d-range", "2:6", "--height-oracle", "-1"], analyze.format(-1)),
+        (["analyze", "--map", "x^2", "--height-oracle", "-3"], analyze.format(-3)),
+        (["oracle", "--map", "x^2", "--height-oracle", "0"], oracle.format(0)),
+        (["oracle", "--map", "x^2", "--height-oracle", "-3"], oracle.format(-3)),
     ]
-    for argv in cases:
+    for argv, message in cases:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: height bound must be at least 1\n"
+        assert captured.err == message
     assert built == []
 
 

@@ -5,6 +5,7 @@ import gc
 import math
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -191,6 +192,60 @@ def test_brute_force_against_direct_orbits():
     assert ProjPoint(-1, 4) in brute_force_preperiodic(maps[2], H)
 
 
+def test_pair_scan_against_per_point_orbits(monkeypatch):
+    # the pair scan with its one-step fast path must classify exactly as one
+    # orbit at a time does. It never steps a pair above the escape height,
+    # and only a pair whose first image escapes is stepped twice: no verdict
+    # is kept for it, so an orbit that reaches it later steps it again
+    import preper.portrait as portrait_module
+
+    H = 12
+    steps = []
+    step = portrait_module.image_pair
+
+    def recorded(phi, x, y):
+        steps.append((x, y))
+        return step(phi, x, y)
+
+    monkeypatch.setattr(portrait_module, "image_pair", recorded)
+    rng = random.Random(1103)
+    seen = Counter()
+    built = 0
+    while built < 30:
+        d = rng.choice((2, 3))
+        num = [rng.randrange(-5, 6) for _ in range(d + 1)]
+        den = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, d + 2))]
+        try:
+            phi = build_map(num, den)
+        except DegenerateMapError:
+            continue
+        built += 1
+        cutoff = escape_height(phi)
+        steps.clear()
+        brute = brute_force_preperiodic(phi, H)
+        records = {P: orbit(phi, P) for P in rational_points_up_to(H)}
+        assert brute == {P for P, rec in records.items() if rec.kind == "preperiodic"}
+        assert all(abs(x) <= cutoff and y <= cutoff for x, y in steps)
+        stepped = set()
+        for i, (x, y) in enumerate(steps):
+            F, G = phi.F.evaluate_point(ProjPoint(x, y)), phi.G.evaluate_point(ProjPoint(x, y))
+            seen["gcd divided out at a bad prime"] += math.gcd(F, G) > 1
+            if (x, y) in stepped:
+                assert apply(phi, ProjPoint(x, y)).height() > cutoff
+                # steps[i - 1] is the pair whose image (x, y) is
+                seen["first-step escape reached later"] += max(abs(steps[i - 1][0]), steps[i - 1][1]) <= H
+            stepped.add((x, y))
+        inf = records[INFINITY]
+        seen["cycle through infinity"] += inf.kind == "preperiodic" and INFINITY in inf.points[inf.tail_length :]
+        seen["escape height below H"] += cutoff < H
+    assert set(seen) == {
+        "gcd divided out at a bad prime",
+        "first-step escape reached later",
+        "cycle through infinity",
+        "escape height below H",
+    } and all(seen.values()), seen
+
+
 def test_stray_image_factor_raises_in_apply_and_the_oracle():
     # z^2/2 with its bad prime 2 dropped from the record: gcd(F, G) = 2 at
     # [2 : 1] is then a factor outside the bad primes, and both apply and the
@@ -217,15 +272,17 @@ def test_brute_force_keeps_a_cycle_above_any_fixed_cutoff():
 def test_brute_force_scans_only_up_to_the_escape_height(monkeypatch):
     import preper.portrait as portrait_module
 
+    # the scan walks the bare pairs of _coprime_pairs_up_to, the generator
+    # behind rational_points_up_to, so that is the binding recorded
     phi = z_squared_plus_one()  # escape height 2
     bounds = []
-    enumerate_points = portrait_module.rational_points_up_to
+    enumerate_pairs = portrait_module._coprime_pairs_up_to
 
     def recorded(height_bound):
         bounds.append(height_bound)
-        return enumerate_points(height_bound)
+        return enumerate_pairs(height_bound)
 
-    monkeypatch.setattr(portrait_module, "rational_points_up_to", recorded)
+    monkeypatch.setattr(portrait_module, "_coprime_pairs_up_to", recorded)
     assert brute_force_preperiodic(phi, 25) == {INFINITY}
     assert bounds == [escape_height(phi)] == [2]
 
