@@ -1,20 +1,21 @@
 """Command line interface: expression parser, subcommands, JSON and DOT output.
 
-The map grammar is deliberately small. A map is a polynomial in x, or two
-polynomials split by a single '/':
+The map grammar is deliberately small. A map is a polynomial in x, or a
+product of factors, optionally negated, over a single factor:
 
-    expr     := poly ("/" poly)?
+    expr     := ["-"] term "/" factor | poly
     poly     := ["-"] term (("+" | "-") term)*
-    term     := factor (("*" | "/") factor)*
+    term     := factor ("*" factor)*
     factor   := base ("^" uint)?
     base     := rational | "x" | "(" poly ")"
     rational := int ("/" uint)?
 
 A slash directly between integer literals is a rational constant (2/3); any
-other slash is the numerator/denominator split and may occur only once, at
-the top of the expression. That rule makes "1/x + x^2" a syntax error (write
-"(x^3+1)/x") while "(x-1)*(x-2)/x^2" parses as intended. A Unicode minus
-sign is accepted anywhere an ASCII hyphen is.
+other slash is the numerator/denominator split, which the grammar allows
+only once, at the top of the expression. That rule makes "1/x + x^2" and
+"(x/3)" syntax errors (write "(x^3+1)/x" and "x/3") while
+"(x-1)*(x-2)/x^2" parses as intended, and "-x^2/(x+1)" has the numerator
+-x^2. A Unicode minus sign is accepted anywhere an ASCII hyphen is.
 
 Exit codes: 0 success, 2 expression or parameter error, 3 degenerate map,
 4 internal invariant failure.
@@ -24,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -107,11 +108,14 @@ def _tokenize(text: str) -> list[_Token]:
     return toks
 
 
-# AST nodes are tuples: ('num', Fraction), ('x',), ('neg', a),
-# ('+'|'-'|'*', a, b), ('/', a, b, pos), ('^', a, k)
+_SPLIT_ONCE = (
+    "'/' may only split the whole expression once; write a single fraction like (x^3+1)/x"
+)
 
 
 class _Parser:
+    """Recursive descent: each rule returns its polynomial as it parses."""
+
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.i = 0
@@ -130,45 +134,57 @@ class _Parser:
             raise MapSyntaxError(f"expected {kind!r}, found {t.text or 'end'!r}", t.pos)
         return t
 
-    def parse(self):
-        node = self.poly()
+    def parse(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+        """expr: the numerator and the denominator."""
+        num = self.signed_term()
+        if self.peek().kind == "/":
+            slash = self.take()
+            num_den = num, self.factor()
+            if self.peek().kind in ("+", "-", "*", "/"):
+                raise MapSyntaxError(_SPLIT_ONCE, slash.pos)
+        else:
+            num_den = self.poly(num), (Fraction(1),)
         t = self.peek()
         if t.kind != "end":
             raise MapSyntaxError(f"unexpected {t.text!r}", t.pos)
-        return node
+        return num_den
 
-    def poly(self):
+    def signed_term(self):
         if self.peek().kind == "-":
             self.take()
-            node = ("neg", self.term())
-        else:
-            node = self.term()
+            return _pneg(self.term())
+        return self.term()
+
+    def poly(self, first=None):
+        out = self.signed_term() if first is None else first
         while self.peek().kind in ("+", "-"):
             op = self.take()
-            node = (op.kind, node, self.term())
-        return node
+            rhs = self.term()
+            out = _padd(out, rhs if op.kind == "+" else _pneg(rhs))
+        if self.peek().kind == "/":  # a split after a sum or inside parentheses
+            raise MapSyntaxError(_SPLIT_ONCE, self.peek().pos)
+        return out
 
     def term(self):
-        node = self.factor()
-        while self.peek().kind in ("*", "/"):
-            op = self.take()
-            rhs = self.factor()
-            if op.kind == "/":
-                node = ("/", node, rhs, op.pos)
-            else:
-                node = ("*", node, rhs)
-        return node
+        out = self.factor()
+        while self.peek().kind == "*":
+            self.take()
+            out = _pmul(out, self.factor())
+        return out
 
     def factor(self):
-        node = self.base()
-        if self.peek().kind == "^":
-            self.take()
-            t = self.expect("num")
-            k = int(t.text)
-            if k > MAX_EXPONENT:
-                raise MapSyntaxError(f"exponent {k} exceeds {MAX_EXPONENT}", t.pos)
-            node = ("^", node, k)
-        return node
+        base = self.base()
+        if self.peek().kind != "^":
+            return base
+        self.take()
+        t = self.expect("num")
+        k = int(t.text)
+        if k > MAX_EXPONENT:
+            raise MapSyntaxError(f"exponent {k} exceeds {MAX_EXPONENT}", t.pos)
+        out = (Fraction(1),)
+        for _ in range(k):
+            out = _pmul(out, base)
+        return out
 
     def base(self):
         t = self.take()
@@ -181,25 +197,14 @@ class _Parser:
                 if den == 0:
                     raise MapSyntaxError("zero denominator in rational literal", slash.pos)
                 value /= den
-            return ("num", value)
+            return (value,)
         if t.kind == "x":
-            return ("x",)
+            return (Fraction(0), Fraction(1))
         if t.kind == "(":
-            node = self.poly()
+            out = self.poly()
             self.expect(")")
-            return node
+            return out
         raise MapSyntaxError(f"expected a polynomial, found {t.text or 'end'!r}", t.pos)
-
-
-def _contains_div(node) -> Optional[int]:
-    if node[0] == "/":
-        return node[3]
-    for child in node[1:]:
-        if isinstance(child, tuple):
-            pos = _contains_div(child)
-            if pos is not None:
-                return pos
-    return None
 
 
 # polynomial arithmetic on ascending Fraction tuples
@@ -229,29 +234,6 @@ def _pmul(a, b):
     return _ptrim(out)
 
 
-def _eval_poly_node(node) -> tuple[Fraction, ...]:
-    kind = node[0]
-    if kind == "num":
-        return (node[1],)
-    if kind == "x":
-        return (Fraction(0), Fraction(1))
-    if kind == "neg":
-        return _pneg(_eval_poly_node(node[1]))
-    if kind == "+":
-        return _padd(_eval_poly_node(node[1]), _eval_poly_node(node[2]))
-    if kind == "-":
-        return _padd(_eval_poly_node(node[1]), _pneg(_eval_poly_node(node[2])))
-    if kind == "*":
-        return _pmul(_eval_poly_node(node[1]), _eval_poly_node(node[2]))
-    if kind == "^":
-        base = _eval_poly_node(node[1])
-        out = (Fraction(1),)
-        for _ in range(node[2]):
-            out = _pmul(out, base)
-        return out
-    raise AssertionError(f"unhandled node {kind}")
-
-
 @dataclass(frozen=True)
 class MapExpr:
     """A parsed map: numerator and denominator as ascending coefficients."""
@@ -263,20 +245,8 @@ class MapExpr:
 
 def parse_map(text: str) -> MapExpr:
     """Parse an expression into exact numerator/denominator polynomials."""
-    ast = _Parser(_tokenize(text)).parse()
-    if ast[0] == "/":
-        num_ast, den_ast = ast[1], ast[2]
-    else:
-        num_ast, den_ast = ast, ("num", Fraction(1))
-    for side in (num_ast, den_ast):
-        pos = _contains_div(side)
-        if pos is not None:
-            raise MapSyntaxError(
-                "'/' may only split the whole expression once; "
-                "write a single fraction like (x^3+1)/x",
-                pos,
-            )
-    return MapExpr(source=text, num=_eval_poly_node(num_ast), den=_eval_poly_node(den_ast))
+    num, den = _Parser(_tokenize(text)).parse()
+    return MapExpr(source=text, num=num, den=den)
 
 
 def _poly_to_text(coeffs: Sequence[Fraction]) -> str:
@@ -466,17 +436,8 @@ def portrait_to_text(portrait: Portrait) -> str:
     return "\n".join(out) + "\n"
 
 
-_BOUND_FIELDS = (
-    "per_bound_tails3",
-    "tail_bound_periodic4",
-    "per_bound_degree",
-    "tail_bound_degree",
-    "preper_bound_degree",
-    "tail_bound_tm",
-    "per_bound_tm",
-    "orbit_len_ln_bound",
-    "orbit_len_bound_refined",
-)
+# the evaluated bounds: every BoundReport field after s and degree
+_BOUND_FIELDS = tuple(f.name for f in fields(BoundReport))[2:]
 
 
 def bounds_to_json_dict(report: BoundReport, items: Optional[tuple[BoundCheckItem, ...]]) -> dict:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .dynatomic import PeriodicPoint, rational_periodic_points
-from .dynmap import InvariantViolation, RationalMap, apply, escape_height, image_pair, preimages
+from .dynmap import RationalMap, apply, escape_height, image_pair, preimages
 from .qarith import ProjPoint
 
 MAX_PORTRAIT_POINTS = 10**5
@@ -134,48 +134,29 @@ def build_portrait(
     search = rational_periodic_points(phi, n_max)
     periodic_points = {pp.point for pp in search.points}
 
-    known = set(periodic_points)
-    frontier = sorted(known, key=ProjPoint.sort_key)
+    # a point first met as a preimage of Q maps to Q, so its depth and entry
+    # follow from Q's: a periodic Q has depth 0 and is its own entry
+    route = {P: (0, P) for P in periodic_points}
+    frontier = sorted(periodic_points, key=ProjPoint.sort_key)
+    tails = []
     preimages_complete = True
     while frontier:
         fresh = []
         for Q in frontier:
             pre = preimages(phi, Q)
             preimages_complete = preimages_complete and pre.complete
+            depth, entry = route[Q][0] + 1, route[Q][1]
             for P in sorted(pre.points, key=ProjPoint.sort_key):
-                if P not in known:
-                    known.add(P)
+                if P not in route:
+                    route[P] = (depth, entry)
+                    tails.append(TailRecord(point=P, depth=depth, image=Q, entry=entry))
                     fresh.append(P)
-        if len(known) > max_points:
+        if len(route) > max_points:
             raise PortraitOverflowError(
                 f"preimage closure exceeded {max_points} points"
             )
         frontier = fresh
-
-    # every known point reaches the periodic set; record how the tails get in
-    image = {P: apply(phi, P) for P in known}
-    depth: dict[ProjPoint, int] = {P: 0 for P in periodic_points}
-
-    def depth_of(P: ProjPoint) -> int:
-        path = []
-        cur = P
-        while cur not in depth:
-            path.append(cur)
-            cur = image[cur]
-            if len(path) > len(known):
-                raise InvariantViolation("orbit failed to reach the periodic set")
-        base = depth[cur]
-        for i, Q in enumerate(reversed(path), start=1):
-            depth[Q] = base + i
-        return depth[P]
-
-    tails = []
-    for P in sorted(known - periodic_points, key=ProjPoint.sort_key):
-        k = depth_of(P)
-        entry = P
-        for _ in range(k):
-            entry = image[entry]
-        tails.append(TailRecord(point=P, depth=k, image=image[P], entry=entry))
+    tails.sort(key=lambda t: t.point.sort_key())
 
     flags = CompletenessFlags(
         n_max=n_max,

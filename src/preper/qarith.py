@@ -272,10 +272,6 @@ def factor(
     return FactorResult(factors=pairs, cofactor=cofactor)
 
 
-def divisor_count(factors: Iterable[tuple[int, int]]) -> int:
-    return math.prod(e + 1 for _, e in factors)
-
-
 def iter_divisors(factors: tuple[tuple[int, int], ...]) -> Iterator[int]:
     """Yield positive divisors of the factored part, deterministically.
 
@@ -314,14 +310,7 @@ def valuation(q: Rat, p: int) -> Valuation:
     if q == 0:
         return OO
     num, den = (q.numerator, q.denominator) if isinstance(q, Fraction) else (q, 1)
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _int_valuation(num, p) - _int_valuation(den, p)
 
 
 def _int_valuation(n: int, p: int) -> Valuation:

@@ -73,6 +73,35 @@ def test_parse_rejects_second_division():
         parse_map("x^2/(x-1)*x")
 
 
+def test_parse_leading_minus_negates_the_numerator_of_a_split():
+    expr = parse_map("-x^2/(x+1)")
+    assert expr.num == (F(0), F(0), F(-1))
+    assert expr.den == (F(1), F(1))
+    phi = map_from_expr(parse_map("-(x-1)*(x-2)/x^2"))
+    ex52 = generate(FamilySpec("ex52", 2))
+    assert phi.F.coeffs == tuple(-c for c in ex52.F.coeffs)
+    assert phi.G == ex52.G
+
+
+@pytest.mark.parametrize("text", ["(x/3)", "((x+1)/x)", "(-x/3)", "2*((x+1)/x)"])
+def test_parse_rejects_a_split_inside_parentheses(text):
+    with pytest.raises(MapSyntaxError, match="may only split the whole expression once"):
+        parse_map(text)
+
+
+@pytest.mark.parametrize(
+    "text, pos", [("1/x + x^2", 1), ("x^2/(x-1)/x", 3), ("x^2/(x-1)*x", 3), ("-x/2+1", 2)]
+)
+def test_split_error_names_the_split_and_its_position(text, pos):
+    with pytest.raises(MapSyntaxError) as err:
+        parse_map(text)
+    assert err.value.pos == pos
+    assert str(err.value) == (
+        "'/' may only split the whole expression once; "
+        f"write a single fraction like (x^3+1)/x (at position {pos})"
+    )
+
+
 def test_parse_rejects_zero_denominator_literal():
     with pytest.raises(MapSyntaxError):
         parse_map("1/0")
@@ -171,7 +200,7 @@ def test_exit_code_on_invariant_failure(capsys, monkeypatch):
 
 def test_map_value_may_start_with_a_minus(capsys, monkeypatch):
     # a separate value that starts with "-" is the map, as with "--map=..."
-    for value, code in (("-x^2+3", 0), ("-x", 3)):
+    for value, code in (("-x^2+3", 0), ("-x^2/(x+1)", 0), ("-x", 3)):
         assert main(["analyze", f"--map={value}", "--max-period", "3"]) == code
         joined = capsys.readouterr()
         assert main(["analyze", "--map", value, "--max-period", "3"]) == code

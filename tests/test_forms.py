@@ -28,7 +28,7 @@ from preper.forms import (
     resultant_cofactors,
     substitute_pair,
 )
-from preper.qarith import ProjPoint, divisor_count, factor, iter_divisors
+from preper.qarith import ProjPoint, factor, iter_divisors
 
 
 # ---------------------------------------------------------------------------
@@ -664,9 +664,8 @@ def test_rational_roots_planted_roots():
         irreducible = BinaryForm((3 * 5 * 7 * 11 * 13,) + middle + (2 * 3 * 5 * 7 * 17,))
         f = lin * irreducible
         core = f.primitive().coeffs
-        n_cand = 2 * divisor_count(factor(core[0]).factors) * divisor_count(
-            factor(core[-1]).factors
-        )
+        ends = factor(core[0]).factors + factor(core[-1]).factors
+        n_cand = 2 * math.prod(e + 1 for _, e in ends)  # signed divisor-pair candidates
         if n_cand > cap:
             continue
         rr = rational_roots(f)

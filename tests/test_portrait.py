@@ -17,6 +17,7 @@ from preper.dynmap import (
     escape_height,
     orbit,
 )
+from preper.families import FamilySpec, generate
 from preper.portrait import (
     PortraitOverflowError,
     brute_force_preperiodic,
@@ -321,6 +322,34 @@ def test_portrait_matches_brute_force_on_random_maps():
             assert rec.kind == "preperiodic"
             if rec.cycle_length <= n_max and port.flags.closed:
                 assert P in pts
+
+
+def test_tail_records_match_direct_iteration():
+    # every TailRecord against phi itself: image = phi(P), depth = the least
+    # k with phi^k(P) periodic, entry = phi^depth(P)
+    maps = [generate(FamilySpec("ex51", d)) for d in (1, 2, 3)]
+    rng = random.Random(1)
+    while len(maps) < 3 + 300:
+        deg = rng.choice((2, 3))
+        num = [rng.randint(-6, 6) for _ in range(deg + 1)]
+        den = [rng.randint(-6, 6) for _ in range(deg + 1)]
+        try:
+            maps.append(build_map(num, den))
+        except DegenerateMapError:
+            continue
+    depths = Counter()
+    for phi in maps:
+        port = build_portrait(phi, 3)
+        periodic = {pp.point for pp in port.periodic}
+        for t in port.tails:
+            assert t.image == apply(phi, t.point)
+            cur, k = t.point, 0
+            while cur not in periodic:
+                assert k <= len(port.tails), "orbit never reached a cycle"
+                cur, k = apply(phi, cur), k + 1
+            assert (t.depth, t.entry) == (k, cur)
+            depths[t.depth] += 1
+    assert depths[1] and depths[2] and max(depths) >= 3
 
 
 def test_portrait_releases_its_map():
