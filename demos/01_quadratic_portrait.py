@@ -23,8 +23,8 @@ def main() -> None:
           f"{counts.periodic} periodic, {counts.tails} in tails")
     print()
 
-    print("cycles:")
-    for cycle in portrait.cycles():
+    print("cycles (as the periodic search walked them, from the least point):")
+    for cycle in portrait.cycles:
         route = " -> ".join(str(P) for P in cycle)
         print(f"  {route} (length {len(cycle)})")
     print()

@@ -18,14 +18,13 @@ moderate Decimal. `check_bounds` compares a portrait's counts against every
 bound whose hypothesis it satisfies.
 """
 
-import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from typing import Iterable, Union
 
-from .dynmap import RationalMap, apply, leftover_factor
+from .dynmap import RationalMap, image_pair
 from .portrait import Portrait, PortraitCounts, classify
-from .qarith import PrimeSet, ProjPoint, is_s_unit
+from .qarith import InvariantViolation, PrimeSet, ProjPoint, is_s_unit
 
 LN_PRECISION = 40
 
@@ -78,16 +77,14 @@ def make_certificates(portrait: Portrait) -> CertificateBundle:
     bad prime could be missing from S and a certificate could fail
     spuriously, so the flag travels with the bundle.
     """
-    phi = portrait.phi
-    S = phi.bad_primes
-    period_of = {pp.point: pp.primitive_period for pp in portrait.periodic}
+    S = portrait.phi.bad_primes
+    # phi^(m0*n)(tail) is depth steps back along the cycle from the entry
+    place = {P: (cyc, i) for cyc in portrait.cycles for i, P in enumerate(cyc)}
     certs = []
     for t in portrait.tails:
-        n = period_of[t.entry]
-        m0 = -(-t.depth // n)
-        q_star = t.point
-        for _ in range(m0 * n):
-            q_star = apply(phi, q_star)
+        cyc, i = place[t.entry]
+        n = len(cyc)
+        q_star = cyc[(i - t.depth) % n]
         for pp in portrait.periodic:
             P = pp.point
             cross = t.point.x * P.y - P.x * t.point.y
@@ -117,13 +114,15 @@ def check_image_normalization(phi: RationalMap, points: Iterable[ProjPoint]) -> 
 
     Good reduction outside S forces gcd(F(x, y), G(x, y)) to be a product of
     bad primes whenever gcd(x, y) = 1. Returns False on the first point whose
-    image pair has a leftover factor after stripping the certified bad primes
-    and anything shared with the unfactored part of the resultant.
+    image fails the checks of dynmap.image_pair: a leftover factor after
+    stripping the certified bad primes and anything shared with the
+    unfactored part of the resultant, or a common zero of F and G.
     """
-    for P in points:
-        g = math.gcd(phi.F.evaluate_point(P), phi.G.evaluate_point(P))
-        if leftover_factor(phi, g) != 1:
-            return False
+    try:
+        for P in points:
+            image_pair(phi, P.x, P.y)
+    except InvariantViolation:
+        return False
     return True
 
 

@@ -39,7 +39,7 @@ from .certify import (
     make_certificates,
 )
 from .dynatomic import PeriodicPoint
-from .dynmap import DegenerateMapError, InvariantViolation, RationalMap, apply, build_map
+from .dynmap import DegenerateMapError, InvariantViolation, RationalMap, build_map
 from .families import FamilySpec, family_n_max, generate
 from .forms import BinaryForm
 from .portrait import (
@@ -314,7 +314,7 @@ def portrait_to_json_dict(portrait: Portrait) -> dict:
             }
             for pp in portrait.periodic
         ],
-        "cycles": [[_point_json(P) for P in cyc] for cyc in portrait.cycles()],
+        "cycles": [[_point_json(P) for P in cyc] for cyc in portrait.cycles],
         "tails": [
             {"point": _point_json(t.point), "depth": t.depth, "image": _point_json(t.image)}
             for t in portrait.tails
@@ -355,19 +355,16 @@ def portrait_from_json(data: dict) -> Portrait:
         )
         for e in data["periodic"]
     )
+    cycles = tuple(tuple(_point_from_json(P) for P in cyc) for cyc in data["cycles"])
+    image = {_point_from_json(e["point"]): _point_from_json(e["image"]) for e in data["tails"]}
     tails = []
     for e in data["tails"]:
-        point = _point_from_json(e["point"])
-        entry = point
+        point = entry = _point_from_json(e["point"])
         for _ in range(e["depth"]):
-            entry = apply(phi, entry)
-        tails.append(
-            TailRecord(
-                point=point, depth=e["depth"], image=_point_from_json(e["image"]), entry=entry
-            )
-        )
+            entry = image[entry]
+        tails.append(TailRecord(point=point, depth=e["depth"], image=image[point], entry=entry))
     flags = CompletenessFlags(**data["completeness"])
-    return Portrait(phi=phi, periodic=periodic, tails=tuple(tails), flags=flags)
+    return Portrait(phi=phi, periodic=periodic, cycles=cycles, tails=tuple(tails), flags=flags)
 
 
 def portrait_json(portrait: Portrait) -> str:
@@ -388,8 +385,8 @@ def portrait_to_dot(portrait: Portrait) -> str:
         shape = ' [shape=doublecircle]' if P in periodic else ""
         lines.append(f'  "{P}"{shape};')
     edges = {t.point: t.image for t in portrait.tails}
-    for P in sorted(periodic, key=ProjPoint.sort_key):
-        edges[P] = apply(portrait.phi, P)
+    for cyc in portrait.cycles:
+        edges.update(zip(cyc, cyc[1:] + cyc[:1]))
     for P in points:
         lines.append(f'  "{P}" -> "{edges[P]}";')
     lines.append("}")
@@ -414,7 +411,7 @@ def portrait_to_text(portrait: Portrait) -> str:
         f"counts: periodic={counts.periodic} tails={counts.tails} "
         f"preperiodic={counts.preperiodic} longest_orbit={counts.longest_orbit}",
     ]
-    for cyc in portrait.cycles():
+    for cyc in portrait.cycles:
         route = " -> ".join(str(P) for P in cyc)
         out.append(f"cycle (length {len(cyc)}): {route}")
         for P in cyc:
@@ -539,14 +536,26 @@ def oracle_to_text(portrait: Portrait, height: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+_CONFLICTING_FLAGS = (
+    ("s", "map"), ("s", "family"), ("map", "family"),
+    ("map", "d"), ("map", "d_range"), ("d", "d_range"),
+)
+
+
 def _selected_maps(args) -> list[tuple[Optional[str], Optional[RationalMap], Optional[int]]]:
     """Resolve --map / --family [--d | --d-range] to labeled maps.
 
     Returns (label, map, default n_max) triples in deterministic order.
     `bounds` with --s, or with neither --map nor --family, selects no map:
     its one triple is (None, None, None), for the bound formulas alone.
+    Two flags that name the maps in different ways are rejected together,
+    not one of them ignored.
     """
-    if "s" in args and (args.s is not None or args.map is None and args.family is None):
+    for a, b in _CONFLICTING_FLAGS:
+        if getattr(args, a, None) is not None and getattr(args, b, None) is not None:
+            a, b = (f"--{name.replace('_', '-')}" for name in (a, b))
+            raise MapSyntaxError(f"{a} and {b} cannot be combined", 0)
+    if "s" in args and args.map is None and args.family is None:
         if args.s is None or args.d is None:
             raise MapSyntaxError("formula-only mode needs both --s and --d", 0)
         return [(None, None, None)]

@@ -1,8 +1,9 @@
 """Period and dynatomic forms, multipliers, and the rational periodic points.
 
 The n-th period form of phi = [F : G] is Phi_n = Y*F_n - X*G_n, whose roots
-are the points of period dividing n.  Moebius inversion over the divisors of
-n isolates the n-th dynatomic form Phi*_n, whose roots have formal period n.
+are the points of period dividing n.  Phi_n is the product of the dynatomic
+forms Phi*_k over the divisors k of n, so dividing Phi_n by the Phi*_k of its
+proper divisors isolates Phi*_n, whose roots have formal period n.
 A point of primitive period m and multiplier lambda is a root of Phi*_n
 exactly when n = m, or n = m*r with lambda a primitive r-th root of unity
 (Morton and Silverman, "Periodic points, multiplicities, and dynamical
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .dynmap import InvariantViolation, RationalMap, apply
 from .forms import BinaryForm, exact_divide, iterate_pairs, period_step, rational_roots
@@ -87,29 +87,22 @@ class DynatomicRecord:
     star_form: BinaryForm
 
 
-def _record(periods: list[BinaryForm], n: int) -> DynatomicRecord:
-    """Phi*_n from the period forms periods[k - 1] = Phi_k, by one exact division.
-
-    The Moebius factors are grouped into a single numerator and denominator
-    product first; the division of those two primitive forms must come out
-    exact and integral, which is itself a strong self-check.
-    """
-    num = periods[n - 1]  # mu(1) = 1
-    den: Optional[BinaryForm] = None
-    for k in _divisors(n)[:-1]:
-        mu = mobius(n // k)
-        if mu == 1:
-            num = num * periods[k - 1]
-        elif mu == -1:
-            den = periods[k - 1] if den is None else den * periods[k - 1]
-    star = num if den is None else exact_divide(num, den)
-    return DynatomicRecord(n=n, period_form=periods[n - 1], star_form=star.primitive())
-
-
 def dynatomic_records(phi: RationalMap, n_max: int) -> tuple[DynatomicRecord, ...]:
-    """The records for n = 1..n_max, all from one walk of the iterate chain."""
-    periods = _period_forms(phi, n_max)
-    return tuple(_record(periods, n) for n in range(1, n_max + 1))
+    """The records for n = 1..n_max, all from one walk of the iterate chain.
+
+    Phi_n is the product of the Phi*_k over the divisors k of n, and all of
+    these forms are primitive with a positive first coefficient (Gauss's
+    lemma), so Phi*_n is Phi_n divided in turn by the Phi*_k already built
+    for its proper divisors k.  Every division must come out exact and
+    integral, which is itself a strong self-check.
+    """
+    records: list[DynatomicRecord] = []
+    for n, period in enumerate(_period_forms(phi, n_max), 1):
+        star = period
+        for k in _divisors(n)[:-1]:
+            star = exact_divide(star, records[k - 1].star_form)
+        records.append(DynatomicRecord(n=n, period_form=period, star_form=star))
+    return tuple(records)
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +167,16 @@ class PeriodicPoint:
 class PeriodicSearchResult:
     """Every rational periodic point of primitive period <= n_max.
 
-    Complete relative to n_max when roots_complete holds; longer cycles are
-    out of scope by definition, which the portrait layer reports.
+    cycles lists each cycle once, in orbit order from its least point, and
+    the cycles by their least points.  Complete relative to n_max when
+    roots_complete holds; longer cycles are out of scope by definition,
+    which the portrait layer reports.
     """
 
     points: tuple[PeriodicPoint, ...]
+    cycles: tuple[tuple[ProjPoint, ...], ...]
     n_max: int
     roots_complete: bool
-
-    def by_point(self) -> dict[ProjPoint, PeriodicPoint]:
-        return {pp.point: pp for pp in self.points}
 
 
 def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResult:
@@ -196,6 +189,7 @@ def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResu
     if n_max < 1:
         raise ValueError(f"the cycle-length horizon must be at least 1, got {n_max}")
     found: dict[ProjPoint, PeriodicPoint] = {}
+    cycles = []
     complete = True
     for rec in dynatomic_records(phi, n_max):
         n = rec.n
@@ -224,5 +218,10 @@ def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResu
                 found[c] = PeriodicPoint(
                     point=c, primitive_period=m, multiplier=lam, formal_periods=formal
                 )
+            i = min(range(m), key=lambda j: cycle[j].sort_key())
+            cycles.append(tuple(cycle[i:] + cycle[:i]))
     pts = tuple(sorted(found.values(), key=lambda pp: pp.point.sort_key()))
-    return PeriodicSearchResult(points=pts, n_max=n_max, roots_complete=complete)
+    cycles.sort(key=lambda c: c[0].sort_key())
+    return PeriodicSearchResult(
+        points=pts, cycles=tuple(cycles), n_max=n_max, roots_complete=complete
+    )

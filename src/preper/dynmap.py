@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .forms import BinaryForm, rational_roots, resultant, resultant_cofactors
+from .forms import BinaryForm, form_from_poly, rational_roots, resultant, resultant_cofactors
 from .qarith import (
     InvariantViolation,
     PrimeSet,
@@ -75,21 +75,11 @@ def build_map(num: Sequence[Rat], den: Sequence[Rat]) -> RationalMap:
     d = max(dn, dd)
     if d < 2:
         raise DegenerateMapError(f"map degree {max(d, 0)} < 2")
-    lcm = 1
-    for c in list(num) + list(den):
-        if isinstance(c, Fraction):
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    fc = [0] * (d + 1)
-    gc = [0] * (d + 1)
-    for i, c in enumerate(num):
-        fc[d - i] = int(Fraction(c) * lcm)
-    for i, c in enumerate(den):
-        gc[d - i] = int(Fraction(c) * lcm)
-    joint = math.gcd(*(fc + gc))
-    if joint > 1:
-        fc = [c // joint for c in fc]
-        gc = [c // joint for c in gc]
-    F, G = BinaryForm(tuple(fc)), BinaryForm(tuple(gc))
+    num, den = [Fraction(c) for c in num[: dn + 1]], [Fraction(c) for c in den[: dd + 1]]
+    lcm = math.lcm(*(c.denominator for c in num + den))
+    F, G = (form_from_poly([c * lcm for c in poly], d) for poly in (num, den))
+    joint = math.gcd(*F.coeffs, *G.coeffs)
+    F, G = (BinaryForm(tuple(c // joint for c in H.coeffs)) for H in (F, G))
     res = resultant(F, G)
     if res == 0:
         raise DegenerateMapError(

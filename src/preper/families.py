@@ -190,7 +190,7 @@ def verify_claims(spec: FamilySpec, portrait: Portrait) -> ClaimReport:
         add("orbit_chain_0_inf_1_0", chain, "0 -> inf -> 1 -> 0")
         add(
             "three_cycle_in_portrait",
-            (INFINITY, ProjPoint(1, 1), ProjPoint(0, 1)) in portrait.cycles(),
+            (INFINITY, ProjPoint(1, 1), ProjPoint(0, 1)) in portrait.cycles,
             "the cycle appears in the computed portrait",
         )
         tail_points = {t.point for t in portrait.tails}

@@ -430,9 +430,6 @@ class RootResult:
     roots: tuple[tuple[ProjPoint, int], ...]
     complete: bool
 
-    def as_dict(self) -> dict[ProjPoint, int]:
-        return dict(self.roots)
-
     def points(self) -> set[ProjPoint]:
         return {P for P, _ in self.roots}
 

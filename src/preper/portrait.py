@@ -13,11 +13,11 @@ point up to a height bound by direct iteration, sharing verdicts along orbits
 so large scans stay cheap. An orbit that passes the map's escape height
 provably wanders (heights grow at every step above it), so no point above
 that height is ever enumerated or iterated further. The scan walks bare
-coordinate pairs and steps them through `dynmap.image_pair`, the same
-map-step kernel, with the same good-reduction checks, that `apply` wraps for
-ProjPoints. Nearly every scanned point leaves the escape height in one step;
-such a point is settled by that one step, with no verdict or path kept, and
-only the points returned are made into ProjPoints.
+coordinate pairs and steps them through `dynmap.image_pair`, the one
+map-step kernel, with its good-reduction checks. Nearly every scanned
+point leaves the escape height in one step; such a point is settled by
+that one step, with no verdict or path kept, and only the points returned
+are made into ProjPoints.
 """
 
 import math
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .dynatomic import PeriodicPoint, rational_periodic_points
-from .dynmap import RationalMap, apply, escape_height, image_pair, preimages
+from .dynmap import RationalMap, escape_height, image_pair, preimages
 from .qarith import ProjPoint
 
 MAX_PORTRAIT_POINTS = 10**5
@@ -88,10 +88,15 @@ class PortraitCounts:
 
 @dataclass(frozen=True)
 class Portrait:
-    """All rational preperiodic points of a map, with orbit structure."""
+    """All rational preperiodic points of a map, with orbit structure.
+
+    cycles are the ones the periodic search walked: each listed once in
+    orbit order from its least point, and the cycles by their least points.
+    """
 
     phi: RationalMap
     periodic: tuple[PeriodicPoint, ...]
+    cycles: tuple[tuple[ProjPoint, ...], ...]
     tails: tuple[TailRecord, ...]
     flags: CompletenessFlags
 
@@ -99,22 +104,6 @@ class Portrait:
         """Every preperiodic point, in the canonical (y, x) order."""
         pts = [pp.point for pp in self.periodic] + [t.point for t in self.tails]
         return sorted(pts, key=ProjPoint.sort_key)
-
-    def cycles(self) -> list[tuple[ProjPoint, ...]]:
-        """The cycles, each listed once in orbit order from its least point."""
-        remaining = {pp.point for pp in self.periodic}
-        out = []
-        while remaining:
-            start = min(remaining, key=ProjPoint.sort_key)
-            cyc = [start]
-            cur = apply(self.phi, start)
-            while cur != start:
-                cyc.append(cur)
-                cur = apply(self.phi, cur)
-            remaining.difference_update(cyc)
-            out.append(tuple(cyc))
-        out.sort(key=lambda c: c[0].sort_key())
-        return out
 
 
 def build_portrait(
@@ -166,7 +155,8 @@ def build_portrait(
     )
     return Portrait(
         phi=phi,
-        periodic=tuple(sorted(search.points, key=lambda pp: pp.point.sort_key())),
+        periodic=search.points,
+        cycles=search.cycles,
         tails=tuple(tails),
         flags=flags,
     )
@@ -175,7 +165,7 @@ def build_portrait(
 def classify(portrait: Portrait) -> PortraitCounts:
     """Headline statistics of a portrait."""
     period_of = {pp.point: pp.primitive_period for pp in portrait.periodic}
-    cycle_lengths = tuple(sorted(len(c) for c in portrait.cycles()))
+    cycle_lengths = tuple(sorted(len(c) for c in portrait.cycles))
     max_depth = max((t.depth for t in portrait.tails), default=0)
     orbit_lengths = [pp.primitive_period for pp in portrait.periodic]
     orbit_lengths += [t.depth + period_of[t.entry] for t in portrait.tails]
@@ -216,7 +206,7 @@ def brute_force_preperiodic(phi: RationalMap, height_bound: int) -> frozenset[Pr
     an orbit that passes the escape height settles as wandering.
 
     The scan walks the bare coordinate pairs of rational_points_up_to and
-    steps them with dynmap.image_pair, the kernel behind apply, so its
+    steps them with dynmap.image_pair, the one map-step kernel, so its
     good-reduction checks hold at every step. Most points leave in one
     step: a scanned pair with no verdict is stepped once, and if that image
     is above the escape height the pair wanders with no bookkeeping at all;

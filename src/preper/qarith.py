@@ -109,6 +109,8 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n < 43 * 43:  # a composite n < 43^2 has a prime factor below 43
+        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -170,12 +172,6 @@ class FactorResult:
     @property
     def complete(self) -> bool:
         return self.cofactor is None
-
-    def value(self) -> int:
-        v = 1
-        for p, e in self.factors:
-            v *= p**e
-        return v * (self.cofactor or 1)
 
 
 def integer_root(n: int, k: int) -> int:
@@ -405,7 +401,7 @@ def log_distance(P1: PointLike, P2: PointLike, p: int) -> Valuation:
         >>> log_distance(ProjPoint(1, 1), ProjPoint(3, 1), 2)
         1
         >>> log_distance((2, 2), (3, 1), 2)
-        0
+        1
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

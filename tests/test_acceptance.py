@@ -1,7 +1,9 @@
 """Acceptance suite: the nine binding criteria, one printed verdict line each.
 
-One more check rides on the shared corpus: the brute-force oracle's escape
-height lies above every point of those portraits and of ex52 d = 2..5.
+Two more checks ride on the shared corpus: the brute-force oracle's escape
+height lies above every point of those portraits and of ex52 d = 2..5, and
+the cycles a portrait keeps from its periodic search are the ones that
+walking each periodic point with apply finds, on seeded maps too.
 
 Run with `pytest -s tests/test_acceptance.py` to see the verdict lines as
 they happen; without -s they still appear in captured output on failure.
@@ -21,11 +23,11 @@ from preper.certify import (
     verify_portrait_bounds,
 )
 from preper.dynatomic import dynatomic_records, formal_period_degree
-from preper.dynmap import RationalMap, build_map, escape_height
+from preper.dynmap import DegenerateMapError, RationalMap, apply, build_map, escape_height
 from preper.families import FamilySpec, family_portrait, generate, verify_claims
 from preper.forms import iterate_pairs, resultant, root_multiplicity
 from preper.portrait import Portrait, brute_force_preperiodic, build_portrait, classify
-from preper.qarith import ProjPoint, strip_primes
+from preper.qarith import INFINITY, ProjPoint, strip_primes
 
 
 def _verdict(number: int, label: str, ok: bool) -> None:
@@ -212,6 +214,42 @@ def test_portrait_points_lie_at_or_below_the_escape_height():
     for portrait in portraits:
         cutoff = escape_height(portrait.phi)
         assert all(P.height() <= cutoff for P in portrait.points())
+
+
+def _walked_cycles(portrait: Portrait) -> tuple[tuple[ProjPoint, ...], ...]:
+    """The cycles found afresh: walk from the least periodic point not yet
+    met until it comes back, with apply, and sort by least points."""
+    remaining = {pp.point for pp in portrait.periodic}
+    out = []
+    while remaining:
+        start = min(remaining, key=ProjPoint.sort_key)
+        cyc = [start]
+        cur = apply(portrait.phi, start)
+        while cur != start:
+            cyc.append(cur)
+            cur = apply(portrait.phi, cur)
+        remaining.difference_update(cyc)
+        out.append(tuple(cyc))
+    out.sort(key=lambda c: c[0].sort_key())
+    return tuple(out)
+
+
+def test_portrait_cycles_are_the_apply_walk():
+    portraits = [portrait for _, portrait in corpus_portraits()]
+    rng = random.Random(1995)
+    while len(portraits) < 70:
+        try:
+            phi = build_map(
+                [rng.randint(-4, 4) for _ in range(3)], [rng.randint(-4, 4) for _ in range(3)]
+            )
+        except DegenerateMapError:
+            continue
+        portraits.append(build_portrait(phi, 4))
+    through_infinity = 0
+    for portrait in portraits:
+        assert portrait.cycles == _walked_cycles(portrait), portrait.phi
+        through_infinity += any(INFINITY in c and len(c) > 1 for c in portrait.cycles)
+    assert through_infinity >= 3
 
 
 def test_criterion_7_bound_inequalities_hold():

@@ -20,7 +20,7 @@ from preper.certify import (
     unit_equation_pair_count,
     verify_portrait_bounds,
 )
-from preper.dynmap import DegenerateMapError, RationalMap, build_map
+from preper.dynmap import DegenerateMapError, RationalMap, apply, build_map
 from preper.forms import BinaryForm
 from preper.portrait import PortraitCounts, build_portrait, classify, rational_points_up_to
 from preper.qarith import INFINITY, PrimeSet, ProjPoint, factor, log_distance, valuation
@@ -97,23 +97,30 @@ def test_certificates_empty_without_tails():
 
 def test_certificates_match_independent_recount():
     # recompute each field from scratch: factor the cross term and compare
-    # its support with S, and recompute the excluded point by iteration
+    # its support with S, and recompute the excluded point phi^(m0*n)(tail)
+    # by iteration, also for tails deeper than their cycle length
     rng = random.Random(2718)
-    built = 0
-    while built < 10:
+    maps = [build_map([1, 1, 0], [1, -4, -3]), build_map([-2, -2, 0], [2, -1, -4])]
+    while len(maps) < 12:
         try:
-            phi = build_map(
-                [rng.randrange(-5, 6) for _ in range(3)],
-                [rng.randrange(-5, 6) for _ in range(3)],
+            maps.append(
+                build_map(
+                    [rng.randrange(-5, 6) for _ in range(3)],
+                    [rng.randrange(-5, 6) for _ in range(3)],
+                )
             )
         except DegenerateMapError:
             continue
-        built += 1
+    deeper = 0
+    for phi in maps:
         port = build_portrait(phi, 4)
         if not port.flags.closed or not port.flags.bad_primes_complete:
             continue
         bundle = make_certificates(port)
         assert len(bundle.certificates) == len(port.tails) * len(port.periodic)
+        period_of = {pp.point: pp.primitive_period for pp in port.periodic}
+        tails = {t.point: t for t in port.tails}
+        deeper += sum(t.depth > period_of[t.entry] >= 2 for t in port.tails)
         for c in bundle.certificates:
             assert c.cross == c.tail.x * c.periodic.y - c.periodic.x * c.tail.y
             fr = factor(abs(c.cross))
@@ -122,6 +129,13 @@ def test_certificates_match_independent_recount():
             assert c.s_unit_ok == support_in_s
             if not c.excluded:
                 assert c.s_unit_ok  # the covered claim itself
+            t = tails[c.tail]
+            n = period_of[t.entry]
+            Q = c.tail
+            for _ in range(-(-t.depth // n) * n):
+                Q = apply(phi, Q)
+            assert (c.cycle_length, c.excluded_point, c.excluded) == (n, Q, c.periodic == Q)
+    assert deeper >= 3
 
 
 def test_certificates_agree_with_log_distance():

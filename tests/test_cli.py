@@ -189,6 +189,23 @@ def test_exit_code_on_bad_family_parameters(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["analyze", "--map", "x^2-2", "--family", "ex52", "--d", "2"], "--map and --family"),
+        (["analyze", "--map", "x^2", "--d", "5"], "--map and --d"),
+        (["analyze", "--family", "ex52", "--d", "2", "--d-range", "3:3"], "--d and --d-range"),
+        (["bounds", "--s", "2", "--d", "2", "--map", "x^2"], "--s and --map"),
+    ],
+)
+def test_conflicting_map_selectors_are_rejected(capsys, argv, flags):
+    # neither flag is silently dropped: the command fails and names both
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {flags} cannot be combined")
+
+
 def test_exit_code_on_invariant_failure(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise InvariantViolation("forced for the test")
@@ -244,6 +261,7 @@ def test_json_round_trip_rebuilds_equal_portraits():
         ([-2, 0, 1], [1]),         # depth-two tail into a fixed point
         ([0, -1, 1], [1]),         # formal period two at a fixed point
         ([2, -3, 1], [0, 0, 1]),   # three-cycle with tails
+        ([1, 1, 0], [1, -4, -3]),  # tails of depth 3 and 4 into a two-cycle
     ]:
         portrait = build_portrait(build_map(num, den), 6)
         rebuilt = portrait_from_json(json.loads(portrait_json(portrait)))

@@ -17,7 +17,7 @@ from preper.dynatomic import (
 )
 from preper.dynmap import DegenerateMapError, apply, build_map
 from preper.families import FamilySpec, family_n_max, generate
-from preper.forms import BinaryForm, root_multiplicity
+from preper.forms import BinaryForm, exact_divide, root_multiplicity
 from preper.qarith import INFINITY, ProjPoint
 
 # classical table, frozen independently of the library's mobius()
@@ -121,6 +121,39 @@ def test_dynatomic_reconstruction():
             assert prod.primitive() == records[n - 1].period_form.primitive()
 
 
+def _mobius_quotient(records, n):
+    """Phi*_n as Moebius inversion groups it: the Phi_k with mu(n/k) = 1 over
+    those with mu(n/k) = -1, by one exact division, made primitive."""
+    num = den = BinaryForm((1,))
+    for k in range(1, n + 1):
+        if n % k == 0 and MU[n // k] == 1:
+            num = num * records[k - 1].period_form
+        elif n % k == 0 and MU[n // k] == -1:
+            den = den * records[k - 1].period_form
+    return exact_divide(num, den).primitive()
+
+
+def test_star_forms_equal_the_mobius_quotient():
+    # Phi*_n by division through the lower Phi*_k against the grouped quotient
+    rng = random.Random(1995)
+    checked = {2: 0, 3: 0, 4: 0}
+    while min(checked.values()) < 3:
+        d = rng.choice(sorted(checked))
+        try:
+            phi = build_map(
+                [rng.randrange(-4, 5) for _ in range(d + 1)],
+                [rng.randrange(-4, 5) for _ in range(d + 1)],
+            )
+        except DegenerateMapError:
+            continue
+        n_max = {2: 6, 3: 5, 4: 4}[phi.degree]
+        records = dynatomic_records(phi, n_max)
+        for rec in records:
+            assert rec.star_form == _mobius_quotient(records, rec.n), (phi, rec.n)
+            assert rec.star_form.degree == formal_period_degree(phi.degree, rec.n)
+        checked[phi.degree] += 1
+
+
 def _formal_period_cases():
     """(map, n_max) pairs for the formal-period check.
 
@@ -171,7 +204,8 @@ def _formal_period_orders(phi, point, n_max):
 def test_formal_period_orders_simple_fixed_point():
     phi = z_squared()
     assert _formal_period_orders(phi, ProjPoint(1, 1), 4) == {1: 1, 2: 0, 3: 0, 4: 0}
-    assert rational_periodic_points(phi, 4).by_point()[ProjPoint(1, 1)].formal_periods == (1,)
+    found = {pp.point: pp for pp in rational_periodic_points(phi, 4).points}
+    assert found[ProjPoint(1, 1)].formal_periods == (1,)
 
 
 def test_formal_period_orders_multiplier_minus_one():
@@ -179,7 +213,8 @@ def test_formal_period_orders_multiplier_minus_one():
     phi = z_squared_minus_z()
     assert _formal_period_orders(phi, ProjPoint(0, 1), 4) == {1: 1, 2: 2, 3: 0, 4: 0}
     assert multiplier(phi, ProjPoint(0, 1), 1) == Fraction(-1)
-    assert rational_periodic_points(phi, 4).by_point()[ProjPoint(0, 1)].formal_periods == (1, 2)
+    found = {pp.point: pp for pp in rational_periodic_points(phi, 4).points}
+    assert found[ProjPoint(0, 1)].formal_periods == (1, 2)
 
 
 def test_at_most_two_formal_periods():
@@ -345,14 +380,14 @@ def test_multiplier_rejects_wrong_period():
 def test_periodic_search_z2():
     res = rational_periodic_points(z_squared(), 4)
     assert res.roots_complete
-    pts = res.by_point()
+    pts = {pp.point: pp for pp in res.points}
     assert set(pts) == {ProjPoint(0, 1), ProjPoint(1, 1), INFINITY}
     assert all(pp.primitive_period == 1 for pp in res.points)
 
 
 def test_periodic_search_three_cycle():
     res = rational_periodic_points(shifted_product_d2(), 6)
-    pts = res.by_point()
+    pts = {pp.point: pp for pp in res.points}
     assert set(pts) == {ProjPoint(0, 1), INFINITY, ProjPoint(1, 1)}
     for pp in res.points:
         assert pp.primitive_period == 3
@@ -362,7 +397,7 @@ def test_periodic_search_three_cycle():
 
 def test_periodic_search_two_cycle():
     res = rational_periodic_points(reciprocal_family_d1(), 4)
-    pts = res.by_point()
+    pts = {pp.point: pp for pp in res.points}
     assert ProjPoint(1, 1) in pts and pts[ProjPoint(1, 1)].primitive_period == 1
     assert pts[ProjPoint(2, 1)].primitive_period == 2
     assert pts[ProjPoint(1, 2)].primitive_period == 2

@@ -72,6 +72,13 @@ def test_build_map_clears_denominators_and_content():
     assert c == b
 
 
+def test_build_map_ignores_trailing_zero_coefficients():
+    # lists longer than their degree: zero high coefficients change nothing
+    assert build_map([1, 0, 1, 0, 0], [1]) == build_map([1, 0, 1], [1])  # z^2 + 1
+    assert build_map([0, 0, 1], [1, 0, 0, 0]) == build_map([0, 0, 1], [1])  # z^2
+    assert str(build_map([1, 0, 1, 0, 0], [1])) == "[X^2 + Y^2 : Y^2]"
+
+
 def test_build_map_rejections():
     with pytest.raises(DegenerateMapError):
         build_map([0], [0])  # 0/0

@@ -433,7 +433,7 @@ def test_rational_roots_examples():
     # XY(X-Y): the three fixed points of z^2
     f = BinaryForm((0, 1, -1, 0))
     rr = rational_roots(f)
-    assert rr.as_dict() == {
+    assert dict(rr.roots) == {
         ProjPoint(1, 0): 1,
         ProjPoint(0, 1): 1,
         ProjPoint(1, 1): 1,
@@ -449,7 +449,7 @@ def test_rational_roots_multiplicity():
         * BinaryForm((1, 0, 1))
     )
     rr = rational_roots(f)
-    assert rr.as_dict() == {ProjPoint(2, 1): 3, ProjPoint(-1, 3): 1}
+    assert dict(rr.roots) == {ProjPoint(2, 1): 3, ProjPoint(-1, 3): 1}
     assert rr.complete
 
 
@@ -501,7 +501,7 @@ def test_rational_roots_complete_when_a_screen_prime_has_no_root(f, want):
     assert [p for p, roots in _residue_screen(ROOTLESS_MOD_67) if not roots] == [67]
     rr = rational_roots(f, factor_kwargs=STARVED_BUDGET)
     assert rr.complete
-    assert rr.as_dict() == want
+    assert dict(rr.roots) == want
 
 
 def test_rational_roots_respects_candidate_cap():
@@ -670,6 +670,6 @@ def test_rational_roots_planted_roots():
             continue
         rr = rational_roots(f)
         assert 40 <= f.degree <= 80
-        assert rr.as_dict() == planted
+        assert dict(rr.roots) == planted
         assert rr.complete
         checked += 1

@@ -113,7 +113,7 @@ def test_portrait_shifted_product():
     assert counts.cycle_lengths == (3,)
     assert counts.max_tail_depth == 1
     assert counts.longest_orbit == 4
-    assert port.cycles() == [(INFINITY, ProjPoint(1, 1), ProjPoint(0, 1))]
+    assert port.cycles == ((INFINITY, ProjPoint(1, 1), ProjPoint(0, 1)),)
     t2, t23 = port.tails
     assert (t2.point, t2.image, t2.entry, t2.depth) == (
         ProjPoint(2, 1),

@@ -146,13 +146,24 @@ def test_is_prime_small_and_carmichael():
     assert not is_prime(2**67 - 1)
 
 
+def test_is_prime_agrees_with_a_sieve():
+    # below 43^2 trial division by the witness primes alone decides; the
+    # Miller-Rabin rounds take over above
+    N = 20_000
+    sieve = [False, False] + [True] * (N - 2)
+    for p in range(2, math.isqrt(N) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, N, p))
+    assert [n for n in range(N) if is_prime(n)] == [n for n in range(N) if sieve[n]]
+
+
 def test_factor_remultiplies():
     rng = random.Random(31337)
     for _ in range(200):
         n = rng.randrange(2, 10**9)
         res = factor(n)
         assert res.complete
-        assert res.value() == n
+        assert math.prod(p**e for p, e in res.factors) == n
         for p, e in res.factors:
             assert is_prime(p) and e >= 1
 
@@ -196,7 +207,7 @@ def test_factor_budget_surfaces_cofactor():
     res = factor(p * q, rho_steps=50, rho_restarts=2)
     assert not res.complete
     assert res.cofactor == p * q
-    assert res.value() == p * q
+    assert math.prod(f**e for f, e in res.factors) * res.cofactor == p * q
 
 
 def test_factor_rho_splits_midsize_semiprime():

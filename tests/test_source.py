@@ -64,3 +64,17 @@ def test_no_unused_imports():
             if name not in used
         ]
     assert found == []
+
+
+def test_doctests_pass():
+    # the examples in the docstrings are documentation a reader may run
+    import doctest
+    import importlib
+
+    results = {
+        path.stem: doctest.testmod(importlib.import_module(f"preper.{path.stem}"))
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "__init__"
+    }
+    assert {name: r.failed for name, r in results.items() if r.failed} == {}
+    assert sum(r.attempted for r in results.values()) > 0
