@@ -136,6 +136,11 @@ def multiplier(phi: RationalMap, P: ProjPoint, m: int) -> Fraction:
         cur = apply(phi, cur)
     if len(cycle) != m:
         raise ValueError(f"{P} has period {len(cycle)}, not {m}")
+    return _cycle_multiplier(phi, cycle)
+
+
+def _cycle_multiplier(phi: RationalMap, cycle: list[ProjPoint]) -> Fraction:
+    """The product lambda of multiplier's docstring over a cycle already walked."""
     (FX, FY), (GX, GY) = _partials(phi.F), _partials(phi.G)
     J = FX * GY - FY * GX
     lam = Fraction(1)
@@ -212,7 +217,7 @@ def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResu
                 raise InvariantViolation(
                     f"primitive period {m} does not divide formal period {n}"
                 )
-            lam = multiplier(phi, pt, m)
+            lam = _cycle_multiplier(phi, cycle)
             formal = (m, 2 * m) if lam == -1 and 2 * m <= n_max else (m,)
             for c in cycle:
                 found[c] = PeriodicPoint(

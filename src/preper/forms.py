@@ -84,7 +84,7 @@ class BinaryForm:
     def __post_init__(self) -> None:
         if len(self.coeffs) == 0:
             raise ValueError("a form needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
 
     @property
     def degree(self) -> int:

@@ -195,24 +195,38 @@ def _perfect_root(n: int) -> Optional[tuple[int, int]]:
     return None
 
 
+# Trial division stops at this bound.  Past it, one is_prime call settles a
+# prime remainder and Brent rho splits a composite one, a factor below 10^6
+# in about a thousand steps where the wheel takes up to 166 000.  On the
+# benchmark's factor calls, bounds from 2^8 to 2^11 time alike and larger
+# ones slower.
+_TRIAL_BOUND = 1000
+
+
 def factor(
     n: int,
     *,
-    trial_bound: int = 10**6,
     rho_steps: int = 200_000,
     rho_restarts: int = 24,
 ) -> FactorResult:
     """Factor |n| with a bounded effort budget.
 
-    Trial division by 2, 3 and a 6k+-1 wheel up to trial_bound, then
-    Brent-cycle rho on what remains.  When the budget runs out the composite
-    remainder is surfaced as ``cofactor`` rather than silently dropped.
+    Trial division by 2, 3 and a 6k+-1 wheel up to _TRIAL_BOUND, which
+    proves a remainder below its square prime.  A larger remainder goes to
+    is_prime (deterministic below 3.3e24) and, when composite, to
+    Brent-cycle rho of at most rho_steps steps per attempt.  rho_restarts
+    bounds the failed attempts over the whole call; a split uses none up,
+    and the smaller piece of a split is worked on first.
+    When the budget runs out the composite remainder is surfaced as
+    ``cofactor`` rather than silently dropped.
 
     Examples:
         >>> factor(600851475143).factors
         ((71, 1), (839, 1), (1471, 1), (6857, 1))
         >>> factor(-2**20).factors
         ((2, 20),)
+        >>> factor(999983 * 1000003).factors
+        ((999983, 1), (1000003, 1))
     """
     if n == 0:
         raise ValueError("cannot factor 0")
@@ -227,45 +241,41 @@ def factor(
             push(p)
             n //= p
     q = 5
-    while q <= trial_bound and q * q <= n:
+    while q <= _TRIAL_BOUND and q * q <= n:
         for cand in (q, q + 2):
             while n % cand == 0:
                 push(cand)
                 n //= cand
         q += 6
-    if n > 1 and (n <= trial_bound * trial_bound or is_prime(n)):
-        # survived trial division: any composite this small would have split
-        push(n)
-        n = 1
-
-    cofactor = None
-    if n > 1:
-        pending = [n]
-        restarts_left = rho_restarts
-        stuck: list[int] = []
-        while pending:
-            m = pending.pop()
-            if is_prime(m):
-                push(m)
-                continue
-            pr = _perfect_root(m)
-            if pr is not None:
-                r, k = pr
-                pending.extend([r] * k)
-                continue
-            g = 1
-            while g == 1 and restarts_left > 0:
+    pending = [n] if n > 1 else []
+    restarts_left = rho_restarts
+    stuck: list[int] = []
+    while pending:
+        m = pending.pop()
+        # every prime factor of m is above _TRIAL_BOUND, so if m is below
+        # its square, m is prime
+        if m <= _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
+            push(m)
+            continue
+        pr = _perfect_root(m)
+        if pr is not None:
+            r, k = pr
+            pending.extend([r] * k)
+            continue
+        g = 1
+        while g == 1 and restarts_left > 0:
+            g = _brent_rho(m, seed=m + restarts_left - 1, max_steps=rho_steps)
+            if g == 1:
                 restarts_left -= 1
-                g = _brent_rho(m, seed=m + restarts_left, max_steps=rho_steps)
-            if g in (1, m):
-                stuck.append(m)
-            else:
-                pending.extend([g, m // g])
-        if stuck:
-            cofactor = math.prod(stuck)
+        if g == 1:
+            stuck.append(m)
+        else:
+            # the smaller piece next: easy splits finish before a hard
+            # piece can spend the restarts
+            pending.extend(sorted((g, m // g), reverse=True))
 
     pairs = tuple(sorted(found.items()))
-    return FactorResult(factors=pairs, cofactor=cofactor)
+    return FactorResult(factors=pairs, cofactor=math.prod(stuck) if stuck else None)
 
 
 def iter_divisors(factors: tuple[tuple[int, int], ...]) -> Iterator[int]:

@@ -22,7 +22,12 @@ from preper.certify import (
     unit_equation_count,
     verify_portrait_bounds,
 )
-from preper.dynatomic import dynatomic_records, formal_period_degree
+from preper.dynatomic import (
+    dynatomic_records,
+    formal_period_degree,
+    multiplier,
+    rational_periodic_points,
+)
 from preper.dynmap import DegenerateMapError, RationalMap, apply, build_map, escape_height
 from preper.families import FamilySpec, family_portrait, generate, verify_claims
 from preper.forms import iterate_pairs, resultant, root_multiplicity
@@ -250,6 +255,29 @@ def test_portrait_cycles_are_the_apply_walk():
         assert portrait.cycles == _walked_cycles(portrait), portrait.phi
         through_infinity += any(INFINITY in c and len(c) > 1 for c in portrait.cycles)
     assert through_infinity >= 3
+
+
+def test_search_multipliers_match_a_fresh_walk():
+    # the search takes each multiplier from the cycle it walked; multiplier()
+    # walks the cycle itself, from each point of it
+    phis = [portrait.phi for _, portrait in corpus_portraits()]
+    results = [portrait.periodic for _, portrait in corpus_portraits()]
+    seeded = _planted_quadratics(30, 2025)
+    rng = random.Random(2025)
+    while len(seeded) < 90:
+        num, den = ([rng.randint(-5, 5) for _ in range(3)] for _ in range(2))
+        try:
+            seeded.append(build_map(num, den))
+        except DegenerateMapError:
+            continue
+    phis += seeded
+    results += [rational_periodic_points(phi, 3).points for phi in seeded]
+    checked = 0
+    for phi, periodic in zip(phis, results):
+        for pp in periodic:
+            assert pp.multiplier == multiplier(phi, pp.point, pp.primitive_period), phi
+            checked += 1
+    assert checked > 100
 
 
 def test_criterion_7_bound_inequalities_hold():

@@ -470,7 +470,7 @@ def test_rational_roots_against_brute_scan():
 
 
 HARD_SEMIPRIME = (2**127 - 1) * (2**89 - 1)
-STARVED_BUDGET = {"trial_bound": 10**3, "rho_steps": 10, "rho_restarts": 1}
+STARVED_BUDGET = {"rho_steps": 10, "rho_restarts": 1}
 
 
 def test_rational_roots_incomplete_when_budget_starved():

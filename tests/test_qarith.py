@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import pytest
 
+from preper import qarith
+from preper.forms import _default_factor_budget
 from preper.qarith import (
     OO,
     INFINITY,
@@ -216,6 +218,76 @@ def test_factor_rho_splits_midsize_semiprime():
     q = _next_prime(2**37)
     full = factor(p * q)
     assert full.complete and full.factors == ((p, 1), (q, 1))
+
+
+# the budget rational_roots gives an end coefficient above 1500 bits
+LARGE_INPUT_BUDGET = _default_factor_budget(1 << 1600)
+
+
+def _primes_between(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
+    out: set[int] = set()
+    while len(out) < count:
+        p = rng.randrange(lo, hi)
+        if is_prime(p):
+            out.add(p)
+    return sorted(out)
+
+
+def test_factor_returns_planted_factorizations():
+    # primes from below the trial bound, from the trial bound to 10^6 (where
+    # rho takes over from the wheel) and from 10^6 to 2^40, some to higher
+    # powers; the largest products are past the deterministic range of
+    # is_prime
+    rng = random.Random(1980)
+    bands = ((2, qarith._TRIAL_BOUND), (qarith._TRIAL_BOUND, 10**6), (10**6, 2**40))
+    powers = past_deterministic = 0
+    for _ in range(150):
+        planted: dict[int, int] = {}
+        for (lo, hi), most in zip(bands, (3, 6, 1)):
+            for p in _primes_between(rng, lo, hi, rng.randint(0, most)):
+                planted[p] = planted.get(p, 0) + rng.choice((1, 1, 2, 3))
+        n = math.prod(p**e for p, e in planted.items())
+        want = tuple(sorted(planted.items()))
+        for budget in ({}, LARGE_INPUT_BUDGET):
+            res = factor(n, **budget)
+            assert res.complete and res.factors == want, (n, budget)
+        powers += any(e > 1 for e in planted.values())
+        past_deterministic += n > qarith._MR_DETERMINISTIC_BOUND
+    assert powers > 30 and past_deterministic > 30
+
+
+def test_factor_restarts_count_only_failures():
+    # more splits than the default pool of restarts: as no split uses one up,
+    # a single restart is enough
+    bound = qarith._TRIAL_BOUND
+    primes = _primes_between(random.Random(1515), bound, 10 * bound, 30)
+    res = factor(math.prod(primes), rho_restarts=1)
+    assert res.complete
+    assert res.factors == tuple((p, 1) for p in primes)
+
+
+def test_factor_rho_seeds_do_not_depend_on_earlier_splits(monkeypatch):
+    # R is out of reach of this budget; the dozen small primes next to it
+    # split first and leave R the seeds it gets alone, R + 1 and then R
+    R = (2**61 - 1) * (2**89 - 1)
+    budget = {"rho_steps": 20_000, "rho_restarts": 2}
+    bound = qarith._TRIAL_BOUND
+    primes = _primes_between(random.Random(1516), bound, 10 * bound, 12)
+    seeds: list[int] = []
+    rho = qarith._brent_rho
+
+    def recording_rho(n: int, seed: int, max_steps: int) -> int:
+        if n == R:
+            seeds.append(seed)
+        return rho(n, seed, max_steps)
+
+    monkeypatch.setattr(qarith, "_brent_rho", recording_rho)
+    alone = factor(R, **budget)
+    assert alone.cofactor == R and seeds == [R + 1, R]
+    seeds.clear()
+    mixed = factor(R * math.prod(primes), **budget)
+    assert mixed.cofactor == R and seeds == [R + 1, R]
+    assert mixed.factors == tuple((p, 1) for p in primes)
 
 
 def test_iter_divisors():
