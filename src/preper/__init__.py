@@ -13,10 +13,8 @@ from .certify import (
     CertificateBundle,
     SUnitCertificate,
     check_bounds,
-    check_image_normalization,
     evaluate_bounds,
     make_certificates,
-    s_unit_rank,
     thue_mahler_coset_count,
     unit_equation_count,
     unit_equation_pair_count,
@@ -25,7 +23,6 @@ from .certify import (
 from .dynatomic import (
     PeriodicPoint,
     PeriodicSearchResult,
-    baker_degree_check,
     formal_period_degree,
     multiplier,
     rational_periodic_points,
@@ -40,7 +37,6 @@ from .dynmap import (
     apply_rational,
     build_map,
     escape_height,
-    has_good_reduction,
     orbit,
     preimages,
 )
@@ -67,14 +63,11 @@ from .portrait import (
 )
 from .qarith import (
     INFINITY,
-    OO,
     PrimeSet,
     ProjPoint,
     factor,
     is_prime,
     is_s_unit,
-    log_distance,
-    valuation,
 )
 
 __version__ = "0.1.0"
@@ -91,7 +84,6 @@ __all__ = [
     "FamilySpec",
     "INFINITY",
     "InvariantViolation",
-    "OO",
     "OrbitRecord",
     "PeriodicPoint",
     "PeriodicSearchResult",
@@ -106,12 +98,10 @@ __all__ = [
     "TailRecord",
     "apply",
     "apply_rational",
-    "baker_degree_check",
     "brute_force_preperiodic",
     "build_map",
     "build_portrait",
     "check_bounds",
-    "check_image_normalization",
     "classify",
     "escape_height",
     "evaluate_bounds",
@@ -121,10 +111,8 @@ __all__ = [
     "form_from_poly",
     "formal_period_degree",
     "generate",
-    "has_good_reduction",
     "is_prime",
     "is_s_unit",
-    "log_distance",
     "make_certificates",
     "multiplier",
     "orbit",
@@ -133,11 +121,9 @@ __all__ = [
     "rational_points_up_to",
     "rational_roots",
     "resultant",
-    "s_unit_rank",
     "thue_mahler_coset_count",
     "unit_equation_count",
     "unit_equation_pair_count",
-    "valuation",
     "verify_claims",
     "verify_portrait_bounds",
 ]

@@ -20,11 +20,10 @@ bound whose hypothesis it satisfies.
 
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Iterable, Union
+from typing import Union
 
-from .dynmap import RationalMap, image_pair
 from .portrait import Portrait, PortraitCounts, classify
-from .qarith import InvariantViolation, PrimeSet, ProjPoint, is_s_unit
+from .qarith import PrimeSet, ProjPoint, is_s_unit
 
 LN_PRECISION = 40
 
@@ -109,23 +108,6 @@ def make_certificates(portrait: Portrait) -> CertificateBundle:
     )
 
 
-def check_image_normalization(phi: RationalMap, points: Iterable[ProjPoint]) -> bool:
-    """Verify that image pairs of coprime pairs need no good-prime cleanup.
-
-    Good reduction outside S forces gcd(F(x, y), G(x, y)) to be a product of
-    bad primes whenever gcd(x, y) = 1. Returns False on the first point whose
-    image fails the checks of dynmap.image_pair: a leftover factor after
-    stripping the certified bad primes and anything shared with the
-    unfactored part of the resultant, or a common zero of F and G.
-    """
-    try:
-        for P in points:
-            image_pair(phi, P.x, P.y)
-    except InvariantViolation:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # solution-count formulas for the underlying equations
 # ---------------------------------------------------------------------------
@@ -157,11 +139,6 @@ def thue_mahler_coset_count(form_degree: int, s: int) -> int:
     if s < 1:
         raise ValueError("s counts the archimedean place, so s >= 1")
     return (5 * 10**6 * form_degree) ** s
-
-
-def s_unit_rank(S: PrimeSet) -> int:
-    """Rank of the S-unit group of Q: one generator per finite prime."""
-    return S.s - 1
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +173,7 @@ class BoundReport:
 
 def tail_bound_tm_terms(s: int, degree: int) -> tuple[int, int]:
     """The two branches inside the Thue-Mahler tail bound, exactly."""
-    return (5 * 10**6 * (degree**3 + 1)) ** (s + 4), 4 * 2 ** (64 * (s + 3))
+    return thue_mahler_coset_count(degree**3 + 1, s + 4), 4 * 2 ** (64 * (s + 3))
 
 
 def per_bound_tm_terms(s: int, degree: int) -> tuple[int, int]:
@@ -225,8 +202,8 @@ def evaluate_bounds(s: int, degree: int) -> BoundReport:
     return BoundReport(
         s=s,
         degree=degree,
-        per_bound_tails3=2 ** (16 * s) + 3,
-        tail_bound_periodic4=4 * 2 ** (16 * s),
+        per_bound_tails3=unit_equation_pair_count(s - 1) + 3,
+        tail_bound_periodic4=4 * unit_equation_pair_count(s - 1),
         per_bound_degree=big + 3,
         tail_bound_degree=4 * big,
         preper_bound_degree=5 * big + 3,

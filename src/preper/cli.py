@@ -645,13 +645,22 @@ def _run(args) -> int:
         raise ValueError(
             f"analyze --height-oracle takes 0 (no oracle) or a height of at least 1, got {height}"
         )
+    # bounds and resultants run to thousands of digits, past the cap that
+    # Python 3.11+ puts on str(int); a --map literal is parsed under the cap
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
     pieces = []
     for label, phi, default_n in _selected_maps(args):
         portrait = None
         if phi is not None:
             n_max = args.max_period if args.max_period is not None else default_n
             portrait = build_portrait(phi, n_max)
-        piece = args.render(portrait, args)
+        if cap:
+            sys.set_int_max_str_digits(0)
+        try:
+            piece = args.render(portrait, args)
+        finally:
+            if cap:
+                sys.set_int_max_str_digits(cap)
         if args.format == "text" and label is not None:
             piece = f"== {label} ==\n" + piece
         pieces.append(piece)

@@ -22,16 +22,6 @@ from .dynmap import InvariantViolation, RationalMap, apply
 from .forms import BinaryForm, exact_divide, iterate_pairs, period_step, rational_roots
 from .qarith import ProjPoint
 
-# Degree/period pairs (n, d) for which a degree-d map may have no point of
-# exact period n over the algebraic closure (Baker).  For polynomial maps the
-# only genuine exception is (2, 2).
-BAKER_EXCEPTIONAL_PAIRS = frozenset({(2, 2), (2, 3), (3, 2), (4, 2)})
-
-
-def baker_degree_check(d: int, n: int) -> bool:
-    """True iff exact-period-n points are guaranteed to exist in degree d."""
-    return (n, d) not in BAKER_EXCEPTIONAL_PAIRS
-
 
 def _divisors(n: int) -> list[int]:
     return [k for k in range(1, n + 1) if n % k == 0]

@@ -22,7 +22,6 @@ from .qarith import (
     Rat,
     factor,
     integer_root,
-    is_prime,
     strip_primes,
 )
 
@@ -88,17 +87,6 @@ def build_map(num: Sequence[Rat], den: Sequence[Rat]) -> RationalMap:
     fr = factor(res)
     bad = PrimeSet(tuple(p for p, _ in fr.factors))
     return RationalMap(F=F, G=G, res=res, bad_primes=bad, res_cofactor=fr.cofactor)
-
-
-def has_good_reduction(phi: RationalMap, p: int) -> bool:
-    """True iff p does not divide the resultant.
-
-    Decidable exactly for any single prime regardless of how much of the
-    resultant was factored, since the resultant itself is held exactly.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    return phi.res % p != 0
 
 
 def leftover_factor(phi: RationalMap, g: int) -> int:

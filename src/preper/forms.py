@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, islice, zip_longest
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 from .qarith import (
     FactorResult,
@@ -415,6 +415,10 @@ def exact_divide(f: BinaryForm, g: BinaryForm) -> BinaryForm:
 _SCREEN_PRIME_COUNT = 3
 _SCREEN_PRIME_MIN = 61
 
+# the root search lists at most this many signed numerators and tries at most
+# this many screened candidates; a search that reaches it is not complete
+_CANDIDATE_CAP = 200_000
+
 
 @dataclass(frozen=True)
 class RootResult:
@@ -531,12 +535,7 @@ def _screened_candidates(
     return passed, within_cap
 
 
-def rational_roots(
-    f: BinaryForm,
-    *,
-    candidate_cap: int = 200_000,
-    factor_kwargs: Optional[dict] = None,
-) -> RootResult:
+def rational_roots(f: BinaryForm) -> RootResult:
     """All P in P^1(Q) with f(P) = 0, with multiplicities.
 
     Method: strip powers of X and Y (roots [0:1] and [1:0]), then run the
@@ -562,15 +561,13 @@ def rational_roots(
     complete = True
     if len(core) > 1:
         lead, trail = core[0], core[-1]
-        fk = factor_kwargs if factor_kwargs is not None else _default_factor_budget(
-            max(abs(lead), abs(trail))
-        )
+        fk = _default_factor_budget(max(abs(lead), abs(trail)))
         fr_trail: FactorResult = factor(trail, **fk)
         fr_lead: FactorResult = factor(lead, **fk)
         screen = _residue_screen(core)
         if all(roots for _, roots in screen):
             candidates, within_cap = _screened_candidates(
-                fr_lead.factors, fr_trail.factors, screen, candidate_cap
+                fr_lead.factors, fr_trail.factors, screen, _CANDIDATE_CAP
             )
             complete = fr_trail.complete and fr_lead.complete and within_cap
             core_form = BinaryForm(core)

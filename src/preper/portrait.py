@@ -106,12 +106,7 @@ class Portrait:
         return sorted(pts, key=ProjPoint.sort_key)
 
 
-def build_portrait(
-    phi: RationalMap,
-    n_max: Optional[int] = None,
-    *,
-    max_points: int = MAX_PORTRAIT_POINTS,
-) -> Portrait:
+def build_portrait(phi: RationalMap, n_max: Optional[int] = None) -> Portrait:
     """Compute the rational preperiodic portrait of phi.
 
     Cycles of length up to n_max are found first, then the preimage closure
@@ -140,9 +135,9 @@ def build_portrait(
                     route[P] = (depth, entry)
                     tails.append(TailRecord(point=P, depth=depth, image=Q, entry=entry))
                     fresh.append(P)
-        if len(route) > max_points:
+        if len(route) > MAX_PORTRAIT_POINTS:
             raise PortraitOverflowError(
-                f"preimage closure exceeded {max_points} points"
+                f"preimage closure exceeded {MAX_PORTRAIT_POINTS} points"
             )
         frontier = fresh
     tails.sort(key=lambda t: t.point.sort_key())

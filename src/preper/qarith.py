@@ -1,6 +1,6 @@
-"""Exact arithmetic over Q: valuations, projective points, factoring, S-units.
+"""Exact arithmetic over Q: primality, factoring, projective points, S-units.
 
-Everything downstream (reduction types, portraits, certificates) reduces to
+Everything downstream (bad primes, portraits, certificates) reduces to
 integer arithmetic done here.  Rationals are stdlib ``fractions.Fraction``;
 projective points are coprime integer pairs in a fixed sign normal form, so
 equality and hashing are structural.
@@ -19,57 +19,6 @@ Rat = Union[Fraction, int]
 
 class InvariantViolation(RuntimeError):
     """A property the mathematics guarantees failed at runtime: a bug."""
-
-
-class InfiniteValuation:
-    """Sentinel for v_p(0) = +infinity.
-
-    Deliberately supports comparison but no arithmetic: adding or subtracting
-    an infinite valuation is a logic error upstream and raises TypeError.
-    """
-
-    _instance: Optional["InfiniteValuation"] = None
-
-    def __new__(cls) -> "InfiniteValuation":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "oo"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, InfiniteValuation)
-
-    def __hash__(self) -> int:
-        return hash("InfiniteValuation")
-
-    def __gt__(self, other: object) -> bool:
-        if isinstance(other, (int, InfiniteValuation)):
-            return not isinstance(other, InfiniteValuation)
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, (int, InfiniteValuation)):
-            return True
-        return NotImplemented
-
-    def __lt__(self, other: object) -> bool:
-        if isinstance(other, (int, InfiniteValuation)):
-            return False
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        return self.__eq__(other) if isinstance(other, InfiniteValuation) else False
-
-
-OO = InfiniteValuation()
-
-Valuation = Union[int, InfiniteValuation]
-
-
-def is_infinite(v: Valuation) -> bool:
-    return isinstance(v, InfiniteValuation)
 
 
 # ---------------------------------------------------------------------------
@@ -296,40 +245,6 @@ def iter_divisors(factors: tuple[tuple[int, int], ...]) -> Iterator[int]:
 
 
 # ---------------------------------------------------------------------------
-# valuations and the logarithmic distance
-# ---------------------------------------------------------------------------
-
-
-def valuation(q: Rat, p: int) -> Valuation:
-    """p-adic valuation v_p(q); v_p(0) is the infinite sentinel.
-
-    Examples:
-        >>> valuation(Fraction(12, 5), 2)
-        2
-        >>> valuation(Fraction(1, 9), 3)
-        -2
-        >>> valuation(0, 7)
-        oo
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if q == 0:
-        return OO
-    num, den = (q.numerator, q.denominator) if isinstance(q, Fraction) else (q, 1)
-    return _int_valuation(num, p) - _int_valuation(den, p)
-
-
-def _int_valuation(n: int, p: int) -> Valuation:
-    if n == 0:
-        return OO
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
-# ---------------------------------------------------------------------------
 # projective points
 # ---------------------------------------------------------------------------
 
@@ -362,10 +277,6 @@ class ProjPoint:
         q = Fraction(q)
         return cls(q.numerator, q.denominator)
 
-    @property
-    def is_infinity(self) -> bool:
-        return self.y == 0
-
     def to_rational(self) -> Fraction:
         if self.y == 0:
             raise ZeroDivisionError("point at infinity has no affine value")
@@ -387,50 +298,6 @@ class ProjPoint:
 
 
 INFINITY = ProjPoint(1, 0)
-
-PointLike = Union[ProjPoint, tuple[int, int]]
-
-
-def _point_coords(P: PointLike) -> tuple[int, int]:
-    if isinstance(P, ProjPoint):
-        return P.x, P.y
-    x, y = P
-    if x == 0 and y == 0:
-        raise ValueError("[0:0] is not a projective point")
-    return x, y
-
-
-def log_distance(P1: PointLike, P2: PointLike, p: int) -> Valuation:
-    """Logarithmic p-adic distance v_p(x1 y2 - x2 y1) - min terms.
-
-    Accepts raw (possibly unnormalized) coordinate pairs as well as
-    ProjPoints; the two min-valuation corrections make the value independent
-    of scaling.  Equal points give the infinite sentinel.
-
-    Examples:
-        >>> log_distance(ProjPoint(1, 1), ProjPoint(3, 1), 2)
-        1
-        >>> log_distance((2, 2), (3, 1), 2)
-        1
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    x1, y1 = _point_coords(P1)
-    x2, y2 = _point_coords(P2)
-    cross = x1 * y2 - x2 * y1
-    if cross == 0:
-        return OO
-    correction = 0
-    for a, b in ((x1, y1), (x2, y2)):
-        va, vb = _int_valuation(a, p), _int_valuation(b, p)
-        m = vb if is_infinite(va) else (va if is_infinite(vb) else min(va, vb))
-        if not isinstance(m, int):
-            raise InvariantViolation("[0:0] reached the log distance")
-        correction += m
-    v = _int_valuation(cross, p)
-    if not isinstance(v, int):
-        raise InvariantViolation("nonzero cross product with infinite valuation")
-    return v - correction
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Certificates, image normalization, bound evaluation and checking."""
+"""Certificates, bound evaluation and checking."""
 
 import math
 import random
@@ -9,21 +9,18 @@ import pytest
 from preper.certify import (
     BoundCheckItem,
     check_bounds,
-    check_image_normalization,
     evaluate_bounds,
     make_certificates,
     per_bound_tm_terms,
-    s_unit_rank,
     tail_bound_tm_terms,
     thue_mahler_coset_count,
     unit_equation_count,
     unit_equation_pair_count,
     verify_portrait_bounds,
 )
-from preper.dynmap import DegenerateMapError, RationalMap, apply, build_map
-from preper.forms import BinaryForm
-from preper.portrait import PortraitCounts, build_portrait, classify, rational_points_up_to
-from preper.qarith import INFINITY, PrimeSet, ProjPoint, factor, log_distance, valuation
+from preper.dynmap import DegenerateMapError, apply, build_map
+from preper.portrait import PortraitCounts, build_portrait
+from preper.qarith import INFINITY, PrimeSet, ProjPoint, factor
 
 
 def shifted_product_d2():
@@ -138,41 +135,6 @@ def test_certificates_match_independent_recount():
     assert deeper >= 3
 
 
-def test_certificates_agree_with_log_distance():
-    # s_unit_ok says exactly that the two points are at distance zero at
-    # every good prime; spot-check against the valuation-based distance
-    bundle = make_certificates(build_portrait(shifted_product_d2()))
-    for c in bundle.certificates:
-        for p in (2, 3, 5, 7):
-            d = log_distance(c.tail, c.periodic, p)
-            assert d == valuation(c.cross, p)
-            if p not in bundle.primes and not c.excluded:
-                assert d == 0
-
-
-# ---------------------------------------------------------------------------
-# image normalization
-# ---------------------------------------------------------------------------
-
-
-def test_image_normalization_holds_for_genuine_maps():
-    pts = list(rational_points_up_to(8))
-    for phi in (shifted_product_d2(), chebyshev_like(), build_map([1, 0, 1], [1])):
-        assert check_image_normalization(phi, pts)
-
-
-def test_image_normalization_detects_missing_primes():
-    # same forms, but with the bad prime 2 deliberately dropped from the
-    # record: the checker must notice the leftover factor at [1 : 2]
-    honest = build_map([0, 0, 2], [1])  # 2z^2, resultant 4
-    assert honest.bad_primes.primes == (2,)
-    doctored = RationalMap(
-        F=honest.F, G=honest.G, res=honest.res, bad_primes=PrimeSet(()), res_cofactor=None
-    )
-    assert check_image_normalization(honest, rational_points_up_to(6))
-    assert not check_image_normalization(doctored, rational_points_up_to(6))
-
-
 # ---------------------------------------------------------------------------
 # solution-count formulas
 # ---------------------------------------------------------------------------
@@ -201,9 +163,9 @@ def test_pair_count_matches_headline_bound():
     # the periodic bound is the pair count at the S-unit rank, plus three
     for n_primes in range(5):
         S = PrimeSet(tuple([2, 3, 5, 7, 11][:n_primes]))
-        assert s_unit_rank(S) == n_primes
+        assert S.s - 1 == n_primes
         rep = evaluate_bounds(S.s, 2)
-        assert rep.per_bound_tails3 == unit_equation_pair_count(s_unit_rank(S)) + 3
+        assert rep.per_bound_tails3 == unit_equation_pair_count(S.s - 1) + 3
 
 
 # ---------------------------------------------------------------------------

@@ -421,6 +421,23 @@ def test_bounds_json(capsys):
     assert "checks" not in data
 
 
+def test_bounds_json_prints_integers_past_the_str_digit_cap(capsys):
+    # 5 * 2^16384 + 3 has 4933 digits, past the 4300 that Python 3.11+ lets
+    # str() print by default; the cap must be back in force afterwards
+    get_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    cap = get_cap()
+    assert main(["bounds", "--family", "ex52", "--d", "8", "--format", "json"]) == 0
+    got = json.loads(capsys.readouterr().out)["bounds"]["preper_bound_degree"]
+    assert get_cap() == cap
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert got == str(5 * 2 ** (16 * 2 * 8**3) + 3)
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
 def test_certify_family(capsys):
     assert main(["certify", "--family", "ex52", "--d", "2"]) == 0
     out = capsys.readouterr().out

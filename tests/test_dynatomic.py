@@ -7,8 +7,6 @@ import pytest
 
 from preper import dynatomic, forms
 from preper.dynatomic import (
-    BAKER_EXCEPTIONAL_PAIRS,
-    baker_degree_check,
     dynatomic_records,
     formal_period_degree,
     mobius,
@@ -78,7 +76,6 @@ def test_dynatomic_baker_pair_degenerates_to_a_square():
     # z^2 - z has multiplier -1 at the fixed point 0; the (n,d) = (2,2)
     # dynatomic form collapses onto it: Phi*_2 = X^2, no exact 2-cycle at all
     assert dynatomic_records(z_squared_minus_z(), 2)[-1].star_form == BinaryForm((1, 0, 0))
-    assert not baker_degree_check(2, 2)
 
 
 def test_degree_identity_grid():
@@ -498,13 +495,9 @@ def test_period_forms_match_the_full_iterate_pairs_on_the_families(spec):
 
 
 def test_baker_exceptional_pairs():
-    assert BAKER_EXCEPTIONAL_PAIRS == {(2, 2), (2, 3), (3, 2), (4, 2)}
-    for n, d in BAKER_EXCEPTIONAL_PAIRS:
-        assert not baker_degree_check(d, n)
-    for d, n in [(2, 1), (2, 5), (3, 3), (4, 2), (5, 2), (2, 6)]:
-        assert baker_degree_check(d, n)
-    # formal degree is positive whenever the pair is not exceptional
+    # the formal degree is positive for every pair, Baker's exceptional ones
+    # (n, d) = (2, 2), (2, 3), (3, 2), (4, 2) included: there Phi*_n has
+    # roots that need not have exact period n (deg Phi*_2 = 2 at d = 2)
     for d in range(2, 9):
         for n in range(1, 7):
-            if baker_degree_check(d, n):
-                assert formal_period_degree(d, n) > 0
+            assert formal_period_degree(d, n) > 0

@@ -8,14 +8,12 @@ import pytest
 
 from preper.dynmap import (
     DegenerateMapError,
-    InvariantViolation,
     OrbitRecord,
     RationalMap,
     apply,
     apply_rational,
     build_map,
     escape_height,
-    has_good_reduction,
     image_pair,
     orbit,
     preimages,
@@ -90,15 +88,6 @@ def test_build_map_rejections():
         build_map([0, 0, 2], [0, 0, 3])  # proportional forms
     with pytest.raises(DegenerateMapError):
         build_map([1, 2, 1], [1, 1])  # (z+1)^2 / (z+1)
-
-
-def test_has_good_reduction():
-    phi = example_d2()
-    assert not has_good_reduction(phi, 2)
-    for p in (3, 5, 7, 11, 97):
-        assert has_good_reduction(phi, p)
-    with pytest.raises(ValueError):
-        has_good_reduction(phi, 4)
 
 
 def test_apply_named_values():

@@ -13,7 +13,7 @@ from preper.families import (
     verify_claims,
 )
 from preper.forms import BinaryForm
-from preper.portrait import build_portrait, classify
+from preper.portrait import build_portrait
 from preper.dynmap import build_map
 from preper.qarith import INFINITY, ProjPoint
 

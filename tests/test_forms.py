@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from preper import forms
 from preper.forms import (
     _KARATSUBA_CUTOFF,
     _SCREEN_PRIME_COUNT,
@@ -473,13 +474,18 @@ HARD_SEMIPRIME = (2**127 - 1) * (2**89 - 1)
 STARVED_BUDGET = {"rho_steps": 10, "rho_restarts": 1}
 
 
-def test_rational_roots_incomplete_when_budget_starved():
+@pytest.fixture
+def starved_budget(monkeypatch):
+    monkeypatch.setattr(forms, "_default_factor_budget", lambda n: STARVED_BUDGET)
+
+
+def test_rational_roots_incomplete_when_budget_starved(starved_budget):
     # leading and trailing coefficients are a hard semiprime; with a starved
     # factoring budget the finder must degrade its completeness claim.  The
     # core has a root mod every screen prime, so no prime proves it rootless
     core = (HARD_SEMIPRIME, 1, 1, HARD_SEMIPRIME)
     assert all(roots for _, roots in _residue_screen(core))
-    rr = rational_roots(BinaryForm(core), factor_kwargs=STARVED_BUDGET)
+    rr = rational_roots(BinaryForm(core))
     assert not rr.complete
 
 
@@ -494,20 +500,21 @@ ROOTLESS_MOD_67 = (HARD_SEMIPRIME, 0, 2, HARD_SEMIPRIME)
         (BinaryForm((0,) + ROOTLESS_MOD_67 + (0, 0)), {ProjPoint(1, 0): 1, ProjPoint(0, 1): 2}),
     ],
 )
-def test_rational_roots_complete_when_a_screen_prime_has_no_root(f, want):
+def test_rational_roots_complete_when_a_screen_prime_has_no_root(f, want, starved_budget):
     # the same hard ends and starved budget, but the core has no root mod 67
     # (a screen prime other than the first): no rational root can exist,
     # whatever the factoring did
     assert [p for p, roots in _residue_screen(ROOTLESS_MOD_67) if not roots] == [67]
-    rr = rational_roots(f, factor_kwargs=STARVED_BUDGET)
+    rr = rational_roots(f)
     assert rr.complete
     assert dict(rr.roots) == want
 
 
-def test_rational_roots_respects_candidate_cap():
+def test_rational_roots_respects_candidate_cap(monkeypatch):
     core = (2 * 3 * 5 * 7 * 11 * 13, 1, 1, 2 * 3 * 5 * 7 * 11 * 13)
     assert all(roots for _, roots in _residue_screen(core))
-    rr = rational_roots(BinaryForm(core), candidate_cap=10)
+    monkeypatch.setattr(forms, "_CANDIDATE_CAP", 10)
+    rr = rational_roots(BinaryForm(core))
     assert not rr.complete
 
 
@@ -579,7 +586,7 @@ def capped_full_walk(f: BinaryForm, cap: int) -> tuple[set, bool]:
     return roots, len(pairs) > cap
 
 
-def test_capped_walk_keeps_the_roots_of_a_capped_full_walk():
+def test_capped_walk_keeps_the_roots_of_a_capped_full_walk(monkeypatch):
     # the screened walk, capped like the full walk, finds at least the full
     # walk's roots, and is cut only if the full walk was
     rng = random.Random(17)
@@ -598,7 +605,8 @@ def test_capped_walk_keeps_the_roots_of_a_capped_full_walk():
     cores += [(BinaryForm((2, -1)) * g, cap) for cap in range(1, 6)]
     for f, cap in cores:
         want, cut = capped_full_walk(f, cap)
-        rr = rational_roots(f, candidate_cap=cap)
+        monkeypatch.setattr(forms, "_CANDIDATE_CAP", cap)
+        rr = rational_roots(f)
         assert want <= rr.points(), (f, cap)
         assert rr.complete or cut
     assert ProjPoint(1, 2) in capped_full_walk(cores[-3][0], 3)[0]

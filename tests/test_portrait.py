@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from preper import portrait
 from preper.dynmap import (
     DegenerateMapError,
     InvariantViolation,
@@ -158,9 +159,10 @@ def test_default_period_cap():
     assert default_period_cap(9) == 4
 
 
-def test_overflow_guard():
+def test_overflow_guard(monkeypatch):
+    monkeypatch.setattr(portrait, "MAX_PORTRAIT_POINTS", 3)
     with pytest.raises(PortraitOverflowError):
-        build_portrait(shifted_product_d2(), 3, max_points=3)
+        build_portrait(shifted_product_d2(), 3)
 
 
 def test_brute_force_against_direct_orbits():

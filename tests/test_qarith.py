@@ -1,4 +1,4 @@
-"""Valuations, projective normal form, factoring budget, S-units."""
+"""Projective normal form, primality, factoring budget, S-units."""
 
 import math
 import random
@@ -9,61 +9,16 @@ import pytest
 from preper import qarith
 from preper.forms import _default_factor_budget
 from preper.qarith import (
-    OO,
     INFINITY,
     FactorResult,
     PrimeSet,
     ProjPoint,
     factor,
-    is_infinite,
     is_prime,
     is_s_unit,
     iter_divisors,
-    log_distance,
     strip_primes,
-    valuation,
 )
-
-
-def test_valuation_basics():
-    assert valuation(12, 2) == 2
-    assert valuation(12, 3) == 1
-    assert valuation(Fraction(5, 8), 2) == -3
-    assert valuation(Fraction(5, 8), 5) == 1
-    assert valuation(Fraction(5, 8), 7) == 0
-    assert valuation(0, 13) is OO
-
-
-def test_valuation_rejects_nonprime():
-    with pytest.raises(ValueError):
-        valuation(10, 6)
-    with pytest.raises(ValueError):
-        valuation(10, 1)
-
-
-def test_valuation_defining_property():
-    # v = v_p(q) iff p^v exactly divides: check against the definition, not
-    # against a second copy of the same loop.
-    rng = random.Random(101)
-    for _ in range(300):
-        p = rng.choice([2, 3, 5, 7, 11, 101])
-        num = rng.randrange(1, 10**6) * rng.choice([1, -1])
-        den = rng.randrange(1, 10**6)
-        q = Fraction(num, den)
-        v = valuation(q, p)
-        assert not is_infinite(v)
-        scaled = q * Fraction(p) ** (-v)
-        assert scaled.numerator % p != 0 and scaled.denominator % p != 0
-
-
-def test_infinite_valuation_is_not_arithmetic():
-    assert OO > 10**100
-    assert OO >= OO
-    assert not (OO < 5)
-    with pytest.raises(TypeError):
-        OO + 1  # type: ignore[operator]
-    with pytest.raises(TypeError):
-        1 - OO  # type: ignore[operator]
 
 
 def test_projpoint_normal_form():
@@ -100,41 +55,6 @@ def test_projpoint_rational_round_trip():
     assert ProjPoint(2, 3).to_rational() == Fraction(2, 3)
     with pytest.raises(ZeroDivisionError):
         INFINITY.to_rational()
-
-
-def test_log_distance_values():
-    assert log_distance(ProjPoint(1, 1), ProjPoint(3, 1), 2) == 1
-    assert log_distance(ProjPoint(1, 1), ProjPoint(3, 1), 3) == 0
-    assert log_distance(ProjPoint(0, 1), INFINITY, 5) == 0
-    assert log_distance(ProjPoint(1, 8), ProjPoint(1, 16), 2) == 3
-    assert is_infinite(log_distance(ProjPoint(2, 4), ProjPoint(1, 2), 7))
-
-
-def test_log_distance_scaling_invariance():
-    # the min-term corrections make raw unnormalized pairs agree with the
-    # normalized points they represent
-    rng = random.Random(2024)
-    for _ in range(400):
-        p = rng.choice([2, 3, 5, 13])
-        x1, y1 = rng.randrange(-30, 31), rng.randrange(-30, 31)
-        x2, y2 = rng.randrange(-30, 31), rng.randrange(-30, 31)
-        if (x1 == 0 and y1 == 0) or (x2 == 0 and y2 == 0):
-            continue
-        lam = rng.choice([1, -1, p, 3 * p, p * p, -2 * p])
-        mu = rng.choice([1, -1, p, 2 * p * p])
-        base = log_distance((x1, y1), (x2, y2), p)
-        scaled = log_distance((lam * x1, lam * y1), (mu * x2, mu * y2), p)
-        assert base == scaled
-        assert base == log_distance(ProjPoint(x1, y1), ProjPoint(x2, y2), p)
-
-
-def test_log_distance_symmetry():
-    rng = random.Random(55)
-    for _ in range(200):
-        p = rng.choice([2, 3, 7])
-        P = ProjPoint(rng.randrange(-40, 41), rng.randrange(-40, 41) or 1)
-        Q = ProjPoint(rng.randrange(-40, 41), rng.randrange(-40, 41) or 1)
-        assert log_distance(P, Q, p) == log_distance(Q, P, p)
 
 
 def test_is_prime_small_and_carmichael():

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "preper"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "preper"
 
 
 def test_no_assert_statements():
@@ -55,11 +56,12 @@ def test_no_unused_imports():
     # pyflakes-style check with the standard library only: an import that
     # outlives the code using it, such as a leftover factor, fails here
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    paths = [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    for path in sorted(paths):
         tree = ast.parse(path.read_text(), filename=str(path))
         used = _used_names(tree)
         found += [
-            f"{path.name}:{line} {name}"
+            f"{path.relative_to(ROOT)}:{line} {name}"
             for name, line in _imported_names(tree)
             if name not in used
         ]
