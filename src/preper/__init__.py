@@ -34,7 +34,6 @@ from .dynmap import (
     PreimageResult,
     RationalMap,
     apply,
-    apply_rational,
     build_map,
     escape_height,
     orbit,
@@ -97,7 +96,6 @@ __all__ = [
     "SUnitCertificate",
     "TailRecord",
     "apply",
-    "apply_rational",
     "brute_force_preperiodic",
     "build_map",
     "build_portrait",

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
@@ -41,7 +42,7 @@ from .certify import (
 from .dynatomic import PeriodicPoint
 from .dynmap import DegenerateMapError, InvariantViolation, RationalMap, build_map
 from .families import FamilySpec, family_n_max, generate
-from .forms import BinaryForm
+from .forms import BinaryForm, _add, _product
 from .portrait import (
     CompletenessFlags,
     Portrait,
@@ -160,7 +161,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.take()
             rhs = self.term()
-            out = _padd(out, rhs if op.kind == "+" else _pneg(rhs))
+            out = _ptrim(_add(out, rhs if op.kind == "+" else _pneg(rhs)))
         if self.peek().kind == "/":  # a split after a sum or inside parentheses
             raise MapSyntaxError(_SPLIT_ONCE, self.peek().pos)
         return out
@@ -169,7 +170,7 @@ class _Parser:
         out = self.factor()
         while self.peek().kind == "*":
             self.take()
-            out = _pmul(out, self.factor())
+            out = _ptrim(_product(out, self.factor()))
         return out
 
     def factor(self):
@@ -183,7 +184,7 @@ class _Parser:
             raise MapSyntaxError(f"exponent {k} exceeds {MAX_EXPONENT}", t.pos)
         out = (Fraction(1),)
         for _ in range(k):
-            out = _pmul(out, base)
+            out = _ptrim(_product(out, base))
         return out
 
     def base(self):
@@ -207,7 +208,7 @@ class _Parser:
         raise MapSyntaxError(f"expected a polynomial, found {t.text or 'end'!r}", t.pos)
 
 
-# polynomial arithmetic on ascending Fraction tuples
+# ascending Fraction tuples: sums and products are the forms kernel's, trimmed
 
 
 def _ptrim(c: list[Fraction]) -> tuple[Fraction, ...]:
@@ -216,37 +217,21 @@ def _ptrim(c: list[Fraction]) -> tuple[Fraction, ...]:
     return tuple(c)
 
 
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _ptrim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
-
-
 def _pneg(a):
     return tuple(-c for c in a)
-
-
-def _pmul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return _ptrim(out)
 
 
 @dataclass(frozen=True)
 class MapExpr:
     """A parsed map: numerator and denominator as ascending coefficients."""
 
-    source: str
     num: tuple[Fraction, ...]
     den: tuple[Fraction, ...]
 
 
 def parse_map(text: str) -> MapExpr:
     """Parse an expression into exact numerator/denominator polynomials."""
-    num, den = _Parser(_tokenize(text)).parse()
-    return MapExpr(source=text, num=num, den=den)
+    return MapExpr(*_Parser(_tokenize(text)).parse())
 
 
 def _poly_to_text(coeffs: Sequence[Fraction]) -> str:
@@ -285,6 +270,24 @@ def map_from_expr(expr: MapExpr) -> RationalMap:
 # ---------------------------------------------------------------------------
 
 
+@contextmanager
+def _uncapped_int_digits():
+    """Lift the cap that Python 3.11+ puts on str(int) and int(str), then restore it.
+
+    Resultants and bounds run to thousands of digits, past the default cap
+    of 4300.  The caller's cap comes back on exit, and a cap already lifted
+    stays lifted.
+    """
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
+    if cap:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if cap:
+            sys.set_int_max_str_digits(cap)
+
+
 def _point_json(P: ProjPoint) -> dict:
     return {"x": str(P.x), "y": str(P.y)}
 
@@ -293,6 +296,7 @@ def _point_from_json(d: dict) -> ProjPoint:
     return ProjPoint(int(d["x"]), int(d["y"]))
 
 
+@_uncapped_int_digits()
 def portrait_to_json_dict(portrait: Portrait) -> dict:
     phi = portrait.phi
     counts = classify(portrait)
@@ -336,6 +340,7 @@ def portrait_to_json_dict(portrait: Portrait) -> dict:
     }
 
 
+@_uncapped_int_digits()
 def portrait_from_json(data: dict) -> Portrait:
     """Rebuild a Portrait from its JSON form, exactly."""
     m = data["map"]
@@ -365,10 +370,6 @@ def portrait_from_json(data: dict) -> Portrait:
         tails.append(TailRecord(point=point, depth=e["depth"], image=image[point], entry=entry))
     flags = CompletenessFlags(**data["completeness"])
     return Portrait(phi=phi, periodic=periodic, cycles=cycles, tails=tuple(tails), flags=flags)
-
-
-def portrait_json(portrait: Portrait) -> str:
-    return json.dumps(portrait_to_json_dict(portrait), sort_keys=True, indent=2)
 
 
 # ---------------------------------------------------------------------------
@@ -645,22 +646,14 @@ def _run(args) -> int:
         raise ValueError(
             f"analyze --height-oracle takes 0 (no oracle) or a height of at least 1, got {height}"
         )
-    # bounds and resultants run to thousands of digits, past the cap that
-    # Python 3.11+ puts on str(int); a --map literal is parsed under the cap
-    cap = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else 0
     pieces = []
-    for label, phi, default_n in _selected_maps(args):
+    for label, phi, default_n in _selected_maps(args):  # a --map literal is parsed under the cap
         portrait = None
         if phi is not None:
             n_max = args.max_period if args.max_period is not None else default_n
             portrait = build_portrait(phi, n_max)
-        if cap:
-            sys.set_int_max_str_digits(0)
-        try:
+        with _uncapped_int_digits():
             piece = args.render(portrait, args)
-        finally:
-            if cap:
-                sys.set_int_max_str_digits(cap)
         if args.format == "text" and label is not None:
             piece = f"== {label} ==\n" + piece
         pieces.append(piece)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .dynmap import InvariantViolation, RationalMap, apply
 from .forms import BinaryForm, exact_divide, iterate_pairs, period_step, rational_roots
@@ -117,16 +118,24 @@ def multiplier(phi: RationalMap, P: ProjPoint, m: int) -> Fraction:
     lambda = prod J(P_i) / (d * c_i^2), the same in every chart; c_i != 0
     because F and G have no common zero, so lambda is a finite rational.
     """
-    cycle = [P]
-    cur = apply(phi, P)
-    while cur != P:
-        cycle.append(cur)
-        if len(cycle) > m:
-            raise ValueError(f"{P} does not have period {m}")
-        cur = apply(phi, cur)
+    cycle = _walk_cycle(phi, P, m)
+    if cycle is None:
+        raise ValueError(f"{P} does not have period {m}")
     if len(cycle) != m:
         raise ValueError(f"{P} has period {len(cycle)}, not {m}")
     return _cycle_multiplier(phi, cycle)
+
+
+def _walk_cycle(phi: RationalMap, P: ProjPoint, n: int) -> Optional[list[ProjPoint]]:
+    """[P, phi(P), ...] up to the step that returns to P, or None if n steps do not."""
+    cycle = [P]
+    cur = apply(phi, P)
+    while cur != P:
+        if len(cycle) == n:
+            return None
+        cycle.append(cur)
+        cur = apply(phi, cur)
+    return cycle
 
 
 def _cycle_multiplier(phi: RationalMap, cycle: list[ProjPoint]) -> Fraction:
@@ -170,7 +179,6 @@ class PeriodicSearchResult:
 
     points: tuple[PeriodicPoint, ...]
     cycles: tuple[tuple[ProjPoint, ...], ...]
-    n_max: int
     roots_complete: bool
 
 
@@ -193,15 +201,9 @@ def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResu
         for pt in rr.points():
             if pt in found:
                 continue
-            cycle = [pt]
-            cur = apply(phi, pt)
-            while cur != pt:
-                cycle.append(cur)
-                if len(cycle) > n:
-                    raise InvariantViolation(
-                        f"root {pt} of the n={n} dynatomic form is not n-periodic"
-                    )
-                cur = apply(phi, cur)
+            cycle = _walk_cycle(phi, pt, n)
+            if cycle is None:
+                raise InvariantViolation(f"root {pt} of the n={n} dynatomic form is not n-periodic")
             m = len(cycle)
             if n % m != 0:
                 raise InvariantViolation(
@@ -217,6 +219,4 @@ def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResu
             cycles.append(tuple(cycle[i:] + cycle[:i]))
     pts = tuple(sorted(found.values(), key=lambda pp: pp.point.sort_key()))
     cycles.sort(key=lambda c: c[0].sort_key())
-    return PeriodicSearchResult(
-        points=pts, cycles=tuple(cycles), n_max=n_max, roots_complete=complete
-    )
+    return PeriodicSearchResult(points=pts, cycles=tuple(cycles), roots_complete=complete)

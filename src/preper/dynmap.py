@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .forms import BinaryForm, form_from_poly, rational_roots, resultant, resultant_cofactors
 from .qarith import (
@@ -52,14 +52,6 @@ class RationalMap:
         return f"[{self.F} : {self.G}]"
 
 
-def _poly_degree(coeffs: Sequence[Rat]) -> int:
-    deg = -1
-    for i, c in enumerate(coeffs):
-        if c != 0:
-            deg = i
-    return deg
-
-
 def build_map(num: Sequence[Rat], den: Sequence[Rat]) -> RationalMap:
     """Build phi(z) = num(z)/den(z) from ascending coefficient lists.
 
@@ -68,7 +60,7 @@ def build_map(num: Sequence[Rat], den: Sequence[Rat]) -> RationalMap:
     resultant (shared factor, proportional forms) or total degree < 2 raises
     DegenerateMapError.
     """
-    dn, dd = _poly_degree(num), _poly_degree(den)
+    dn, dd = (max((i for i, c in enumerate(poly) if c), default=-1) for poly in (num, den))
     if dn < 0 and dd < 0:
         raise DegenerateMapError("0/0 is not a map")
     d = max(dn, dd)
@@ -145,12 +137,6 @@ def apply(phi: RationalMap, P: ProjPoint) -> ProjPoint:
     return ProjPoint(*image_pair(phi, P.x, P.y))
 
 
-def apply_rational(phi: RationalMap, z: Union[Rat, ProjPoint]) -> ProjPoint:
-    """Convenience: accept an affine rational (or point) argument."""
-    P = z if isinstance(z, ProjPoint) else ProjPoint.from_rational(z)
-    return apply(phi, P)
-
-
 def escape_height(phi: RationalMap) -> int:
     """A height above which phi provably raises the height at every step.
 
@@ -175,15 +161,13 @@ def escape_height(phi: RationalMap) -> int:
 
 @dataclass(frozen=True)
 class OrbitRecord:
-    """Forward orbit of a point until repetition, escape or the step budget.
+    """Forward orbit of a point until it repeats or passes the escape height.
 
     kind 'preperiodic': points lists the m tail points followed by the n
     cycle points, with phi(points[-1]) == points[m].
     kind 'escaped': points[-1] is the first point of the orbit above
     escape_height(phi), every earlier one is at or below it, and the point
     is proven to wander.
-    kind 'unsettled': the step budget ran out with the orbit still at or
-    below the escape height; no verdict.
     """
 
     points: tuple[ProjPoint, ...]
@@ -202,12 +186,11 @@ class OrbitRecord:
         return self.points[self.tail_length :]
 
 
-def orbit(phi: RationalMap, P: ProjPoint, max_steps: int = 1000) -> OrbitRecord:
+def orbit(phi: RationalMap, P: ProjPoint) -> OrbitRecord:
     """Iterate P until a point repeats (preperiodic) or passes escape_height(phi).
 
-    Passing the escape height proves the point wanders.  Only the step
-    budget is a cutoff without proof: an orbit still at or below the escape
-    height after max_steps steps comes back 'unsettled'.
+    Passing the escape height proves the point wanders.  Only finitely many
+    points lie at or below that height, so one of the two always happens.
     """
     cutoff = escape_height(phi)
     seen: dict[ProjPoint, int] = {}
@@ -224,8 +207,6 @@ def orbit(phi: RationalMap, P: ProjPoint, max_steps: int = 1000) -> OrbitRecord:
             )
         seen[cur] = len(seq)
         seq.append(cur)
-        if len(seq) > max_steps:
-            return OrbitRecord(points=tuple(seq), kind="unsettled")
         cur = apply(phi, cur)
     seq.append(cur)
     return OrbitRecord(points=tuple(seq), kind="escaped")

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .dynmap import InvariantViolation, RationalMap, apply_rational, build_map
+from .dynmap import InvariantViolation, RationalMap, apply, build_map
+from .forms import _product
 from .portrait import Portrait, build_portrait, classify
 from .qarith import INFINITY, ProjPoint
 
@@ -50,9 +51,7 @@ def _poly_from_roots(roots: list[Fraction]) -> list[Fraction]:
     """Ascending coefficients of the monic product of (x - r)."""
     coeffs = [Fraction(1)]
     for r in roots:
-        coeffs = [Fraction(0)] + coeffs
-        for i in range(len(coeffs) - 1):
-            coeffs[i] -= r * coeffs[i + 1]
+        coeffs = _product(coeffs, [-r, 1])
     return coeffs
 
 
@@ -136,20 +135,14 @@ def verify_claims(spec: FamilySpec, portrait: Portrait) -> ClaimReport:
         claims.append(Claim(name=name, holds=bool(holds), detail=detail))
 
     primes = set(phi.bad_primes)
+    zero, one = ProjPoint(0, 1), ProjPoint(1, 1)
     if spec.family == "ex51":
         add("bad_primes_within_2", primes <= {2}, f"bad primes {sorted(primes)}")
-        add(
-            "fixed_point_one",
-            apply_rational(phi, Fraction(1)) == ProjPoint(1, 1),
-            "f(1) = 1",
-        )
+        add("fixed_point_one", apply(phi, one) == one, "f(1) = 1")
         swaps = []
         for i in range(1, spec.d + 1):
-            hi, lo = Fraction(2) ** i, Fraction(2) ** -i
-            swaps.append(
-                apply_rational(phi, hi) == ProjPoint.from_rational(lo)
-                and apply_rational(phi, lo) == ProjPoint.from_rational(hi)
-            )
+            hi, lo = ProjPoint(2**i, 1), ProjPoint(1, 2**i)
+            swaps.append(apply(phi, hi) == lo and apply(phi, lo) == hi)
         add(
             "powers_of_two_swap",
             all(swaps),
@@ -157,40 +150,37 @@ def verify_claims(spec: FamilySpec, portrait: Portrait) -> ClaimReport:
         )
         add(
             "orbit_zero_to_fixed",
-            apply_rational(phi, Fraction(0)) == INFINITY
-            and apply_rational(phi, INFINITY) == ProjPoint(1, 1),
+            apply(phi, zero) == INFINITY and apply(phi, INFINITY) == one,
             "0 -> inf -> 1",
         )
         periodic = {pp.point: pp.primitive_period for pp in portrait.periodic}
         expected_cycles = all(
-            periodic.get(ProjPoint.from_rational(Fraction(2) ** i)) == 2
+            periodic.get(P) == 2
             for i in range(1, spec.d + 1)
-        ) and all(
-            periodic.get(ProjPoint.from_rational(Fraction(2) ** -i)) == 2
-            for i in range(1, spec.d + 1)
+            for P in (ProjPoint(2**i, 1), ProjPoint(1, 2**i))
         )
         add(
             "portrait_sees_two_cycles",
-            expected_cycles and periodic.get(ProjPoint(1, 1)) == 1,
+            expected_cycles and periodic.get(one) == 1,
             f"2d + 1 = {2 * spec.d + 1} claimed periodic points found with right periods",
         )
         tail_points = {t.point for t in portrait.tails}
         add(
             "tails_contain_zero_and_inf",
-            {ProjPoint(0, 1), INFINITY} <= tail_points,
+            {zero, INFINITY} <= tail_points,
             f"tails observed: {sorted(str(t) for t in tail_points)}",
         )
     else:
         add("bad_primes_exactly_2", primes == {2}, f"bad primes {sorted(primes)}")
         chain = (
-            apply_rational(phi, Fraction(0)) == INFINITY
-            and apply_rational(phi, INFINITY) == ProjPoint(1, 1)
-            and apply_rational(phi, Fraction(1)) == ProjPoint(0, 1)
+            apply(phi, zero) == INFINITY
+            and apply(phi, INFINITY) == one
+            and apply(phi, one) == zero
         )
         add("orbit_chain_0_inf_1_0", chain, "0 -> inf -> 1 -> 0")
         add(
             "three_cycle_in_portrait",
-            (INFINITY, ProjPoint(1, 1), ProjPoint(0, 1)) in portrait.cycles,
+            (INFINITY, one, zero) in portrait.cycles,
             "the cycle appears in the computed portrait",
         )
         tail_points = {t.point for t in portrait.tails}
@@ -201,7 +191,7 @@ def verify_claims(spec: FamilySpec, portrait: Portrait) -> ClaimReport:
             f"2^1 .. 2^{spec.d - 1} classified as tail points",
         )
         entries = all(
-            t.entry in {ProjPoint(0, 1), INFINITY, ProjPoint(1, 1)}
+            t.entry in {zero, INFINITY, one}
             for t in portrait.tails
             if t.point in expected
         )

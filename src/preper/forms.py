@@ -132,9 +132,6 @@ class BinaryForm:
             raise ValueError("can only subtract forms of equal formal degree")
         return BinaryForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "BinaryForm":
-        return BinaryForm(tuple(-a for a in self.coeffs))
-
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
         return BinaryForm(tuple(_product(self.coeffs, other.coeffs)))
 

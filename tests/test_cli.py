@@ -18,8 +18,8 @@ from preper.cli import (
     map_from_expr,
     parse_map,
     portrait_from_json,
-    portrait_json,
     portrait_to_dot,
+    portrait_to_json_dict,
 )
 from preper.dynmap import InvariantViolation, build_map
 from preper.families import FamilySpec, generate
@@ -158,7 +158,7 @@ def test_print_parse_fixed_point_random():
         den = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(1, 4))]
         num[-1] = num[-1] if num[-1] else F(1)
         den[-1] = den[-1] if den[-1] else F(1)
-        expr = MapExpr("", tuple(num), tuple(den))
+        expr = MapExpr(tuple(num), tuple(den))
         reparsed = parse_map(expr_to_text(expr))
         assert reparsed.num == expr.num
         assert reparsed.den == expr.den
@@ -264,8 +264,20 @@ def test_json_round_trip_rebuilds_equal_portraits():
         ([1, 1, 0], [1, -4, -3]),  # tails of depth 3 and 4 into a two-cycle
     ]:
         portrait = build_portrait(build_map(num, den), 6)
-        rebuilt = portrait_from_json(json.loads(portrait_json(portrait)))
+        rebuilt = portrait_from_json(json.loads(json.dumps(portrait_to_json_dict(portrait))))
         assert rebuilt == portrait
+
+
+def test_json_round_trip_past_the_int_digit_cap():
+    # the resultant 2^16000 has 4817 decimal digits, past Python's default
+    # cap of 4300 on str(int) and int(str); the caller's cap comes back
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    portrait = build_portrait(build_map([0, 0, 1], [2**8000]), 2)
+    assert portrait.phi.res == 2**16000
+    rebuilt = portrait_from_json(json.loads(json.dumps(portrait_to_json_dict(portrait))))
+    assert rebuilt == portrait
+    if cap is not None:
+        assert sys.get_int_max_str_digits() == cap
 
 
 def test_json_output_is_bit_stable(capsys):

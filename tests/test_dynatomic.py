@@ -13,9 +13,9 @@ from preper.dynatomic import (
     multiplier,
     rational_periodic_points,
 )
-from preper.dynmap import DegenerateMapError, apply, build_map
+from preper.dynmap import DegenerateMapError, InvariantViolation, apply, build_map
 from preper.families import FamilySpec, family_n_max, generate
-from preper.forms import BinaryForm, exact_divide, root_multiplicity
+from preper.forms import BinaryForm, RootResult, exact_divide, root_multiplicity
 from preper.qarith import INFINITY, ProjPoint
 
 # classical table, frozen independently of the library's mobius()
@@ -411,6 +411,16 @@ def test_periodic_search_rejects_a_horizon_below_one():
     for n_max in (0, -2):
         with pytest.raises(ValueError):
             rational_periodic_points(z_squared(), n_max)
+
+
+def test_periodic_search_rejects_a_root_that_is_not_periodic(monkeypatch):
+    # the search walks each root's cycle and raises when a root comes back
+    # from the root finder that does not return within n steps: 2 under z^2
+    # wanders
+    wandering = RootResult(roots=((ProjPoint(2, 1), 1),), complete=True)
+    monkeypatch.setattr(dynatomic, "rational_roots", lambda f: wandering)
+    with pytest.raises(InvariantViolation, match="not n-periodic"):
+        rational_periodic_points(z_squared(), 2)
 
 
 def test_periodic_search_walks_the_iterate_chain_once(monkeypatch):

@@ -11,7 +11,6 @@ from preper.dynmap import (
     OrbitRecord,
     RationalMap,
     apply,
-    apply_rational,
     build_map,
     escape_height,
     image_pair,
@@ -96,7 +95,7 @@ def test_apply_named_values():
     assert apply(phi, ProjPoint(0, 1)) == INFINITY
     assert apply(phi, INFINITY) == ProjPoint(1, 1)
     assert apply(phi, ProjPoint(1, 1)) == ProjPoint(0, 1)
-    assert apply_rational(phi, Fraction(2, 3)) == ProjPoint(1, 1)
+    assert apply(phi, ProjPoint.from_rational(Fraction(2, 3))) == ProjPoint(1, 1)
 
 
 def test_image_pair_matches_form_evaluation():
@@ -147,13 +146,6 @@ def test_orbit_escapes():
     cutoff = escape_height(phi)
     assert rec.points[-1].height() > cutoff
     assert all(P.height() <= cutoff for P in rec.points[:-1])
-
-
-def test_orbit_step_budget_leaves_it_unsettled():
-    phi = build_map([1, 0, 1], [1])
-    rec = orbit(phi, ProjPoint(1, 1), max_steps=1)
-    assert rec.kind == "unsettled"
-    assert rec.points == (ProjPoint(1, 1), ProjPoint(2, 1))
 
 
 def test_orbit_of_a_point_above_the_escape_height():

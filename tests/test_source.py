@@ -1,6 +1,9 @@
 """Properties of the library source itself."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -80,3 +83,35 @@ def test_doctests_pass():
     }
     assert {name: r.failed for name, r in results.items() if r.failed} == {}
     assert sum(r.attempted for r in results.values()) > 0
+
+
+# the bindings of bench/tracing.py that no module of the package has; the
+# layers behind them read 0 in a traced benchmark run
+DEAD_TRACER_BINDINGS = {
+    "preper.dynatomic.factor",
+    "preper.dynatomic.compose_pair",
+    "preper.dynatomic.dynatomic_record",
+    "preper.dynatomic.formal_period_orders",
+    "preper.portrait.apply",
+    "preper.certify.apply",
+    "preper.cli.apply",
+}
+
+
+def test_bench_tracer_installs():
+    # bench/tracing.py wraps functions at the bindings their callers use: a
+    # renamed module makes install raise, and a moved import leaves one more
+    # layer untraced; a fresh process keeps the wrappers there, and -B keeps
+    # bench/ free of bytecode files
+    script = (
+        "import json, sys\n"
+        f"sys.path[:0] = [{str(SRC.parent)!r}, {str(ROOT / 'bench')!r}]\n"
+        "import preper, preper.cli\n"
+        "from tracing import Tracer\n"
+        "tracer = Tracer()\n"
+        "tracer.install(preper)\n"
+        "print(json.dumps(tracer.missing))\n"
+    )
+    done = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert set(json.loads(done.stdout)) <= DEAD_TRACER_BINDINGS
