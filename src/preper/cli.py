@@ -523,12 +523,10 @@ def oracle_to_text(portrait: Portrait, height: int) -> str:
     if data["agree"]:
         return f"oracle at height {height}: diff empty\n"
     lines = [f"oracle at height {height}: DISAGREEMENT"]
-    if data["portrait_only"]:
-        pts = ", ".join(f'{d["x"]}/{d["y"]}' for d in data["portrait_only"])
-        lines.append(f"  portrait only: {pts}")
-    if data["brute_only"]:
-        pts = ", ".join(f'{d["x"]}/{d["y"]}' for d in data["brute_only"])
-        lines.append(f"  brute force only: {pts}")
+    for key, name in (("portrait_only", "portrait only"), ("brute_only", "brute force only")):
+        if data[key]:
+            pts = ", ".join(str(_point_from_json(d)) for d in data[key])
+            lines.append(f"  {name}: {pts}")
     return "\n".join(lines) + "\n"
 
 
@@ -555,29 +553,29 @@ def _selected_maps(args) -> list[tuple[Optional[str], Optional[RationalMap], Opt
     for a, b in _CONFLICTING_FLAGS:
         if getattr(args, a, None) is not None and getattr(args, b, None) is not None:
             a, b = (f"--{name.replace('_', '-')}" for name in (a, b))
-            raise MapSyntaxError(f"{a} and {b} cannot be combined", 0)
+            raise ValueError(f"{a} and {b} cannot be combined")
     if "s" in args and args.map is None and args.family is None:
         if args.s is None or args.d is None:
-            raise MapSyntaxError("formula-only mode needs both --s and --d", 0)
+            raise ValueError("formula-only mode needs both --s and --d")
         return [(None, None, None)]
     if args.map is not None:
         expr = parse_map(args.map)
         return [(args.map, map_from_expr(expr), None)]
     if args.family is None:
-        raise MapSyntaxError("one of --map or --family is required", 0)
+        raise ValueError("one of --map or --family is required")
     d_values = []
     if getattr(args, "d_range", None):
         lo, _, hi = args.d_range.partition(":")
         try:
             d_values = list(range(int(lo), int(hi) + 1))
         except ValueError:
-            raise MapSyntaxError(f"--d-range wants A:B, got {args.d_range!r}", 0) from None
+            raise ValueError(f"--d-range wants A:B, got {args.d_range!r}") from None
         if not d_values:
-            raise MapSyntaxError(f"empty --d-range {args.d_range!r}", 0)
+            raise ValueError(f"empty --d-range {args.d_range!r}")
     elif args.d is not None:
         d_values = [args.d]
     else:
-        raise MapSyntaxError("--family needs --d or --d-range", 0)
+        raise ValueError("--family needs --d or --d-range")
     out = []
     for d in d_values:
         spec = FamilySpec(args.family, d)

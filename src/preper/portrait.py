@@ -14,10 +14,10 @@ so large scans stay cheap. An orbit that passes the map's escape height
 provably wanders (heights grow at every step above it), so no point above
 that height is ever enumerated or iterated further. The scan walks bare
 coordinate pairs and steps them through `dynmap.image_pair`, the one
-map-step kernel, with its good-reduction checks. Nearly every scanned
-point leaves the escape height in one step; such a point is settled by
-that one step, with no verdict or path kept, and only the points returned
-are made into ProjPoints.
+map-step kernel, which checks that gcd(F, G) divides Res(F, G). Nearly
+every scanned point leaves the escape height in one step; such a point is
+settled by that one step, with no verdict or path kept, and only the
+points returned are made into ProjPoints.
 """
 
 import math
@@ -201,8 +201,8 @@ def brute_force_preperiodic(phi: RationalMap, height_bound: int) -> frozenset[Pr
     an orbit that passes the escape height settles as wandering.
 
     The scan walks the bare coordinate pairs of rational_points_up_to and
-    steps them with dynmap.image_pair, the one map-step kernel, so its
-    good-reduction checks hold at every step. Most points leave in one
+    steps them with dynmap.image_pair, the one map-step kernel, so every
+    step checks that gcd(F, G) divides Res(F, G). Most points leave in one
     step: a scanned pair with no verdict is stepped once, and if that image
     is above the escape height the pair wanders with no bookkeeping at all;
     no verdict is kept, and an orbit that reaches it later steps it again.

@@ -123,6 +123,13 @@ def test_parse_rejects_malformed_input():
             parse_map(bad)
 
 
+def test_cancelled_top_term_is_trimmed(capsys):
+    assert main(["analyze", "--map", "x^3-x^3+x^2", "--format", "json"]) == 0
+    cancelled = capsys.readouterr().out
+    assert main(["analyze", "--map", "x^2", "--format", "json"]) == 0
+    assert cancelled == capsys.readouterr().out
+
+
 def test_parse_ignores_whitespace():
     spaced = parse_map(" ( x - 1 ) * ( x - 2 ) / x ^ 2 ")
     tight = parse_map("(x-1)*(x-2)/x^2")
@@ -187,6 +194,14 @@ def test_exit_code_on_bad_family_parameters(capsys):
     assert main(["analyze"]) == 2
     assert main(["analyze", "--family", "ex52", "--d-range", "4:2"]) == 2
     capsys.readouterr()
+
+
+def test_flag_errors_carry_no_parse_position(capsys):
+    # a flag problem is not a map syntax error, so no "(at position 0)"
+    assert main(["analyze", "--family", "ex52", "--d-range", "a:b"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --d-range wants A:B, got 'a:b'\n"
 
 
 @pytest.mark.parametrize(
@@ -482,6 +497,28 @@ def test_oracle_json_agreement(capsys):
 def test_analyze_with_inline_oracle(capsys):
     assert main(["analyze", "--map", "x^2", "--height-oracle", "50"]) == 0
     assert "diff empty" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--map", "x^2", "--height-oracle", "50"],
+        ["analyze", "--map", "x^2", "--height-oracle", "50"],
+    ],
+)
+def test_oracle_disagreement_names_points_as_the_text_does(capsys, monkeypatch, argv):
+    # a brute force that misses infinity and finds a stray 2 under z^2
+    brute_force = cli.brute_force_preperiodic
+
+    def tampered(phi, height):
+        return brute_force(phi, height) - {ProjPoint(1, 0)} | {ProjPoint(2, 1)}
+
+    monkeypatch.setattr(cli, "brute_force_preperiodic", tampered)
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "oracle at height 50: DISAGREEMENT" in lines
+    assert "  portrait only: inf" in lines
+    assert "  brute force only: 2" in lines
 
 
 def test_d_range_sweep_is_ordered_and_deterministic(capsys):

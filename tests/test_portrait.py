@@ -27,7 +27,7 @@ from preper.portrait import (
     default_period_cap,
     rational_points_up_to,
 )
-from preper.qarith import INFINITY, PrimeSet, ProjPoint
+from preper.qarith import INFINITY, ProjPoint
 
 
 def z_squared():
@@ -249,15 +249,25 @@ def test_pair_scan_against_per_point_orbits(monkeypatch):
     } and all(seen.values()), seen
 
 
-def test_stray_image_factor_raises_in_apply_and_the_oracle():
-    # z^2/2 with its bad prime 2 dropped from the record: gcd(F, G) = 2 at
-    # [2 : 1] is then a factor outside the bad primes, and both apply and the
-    # oracle's pair iteration must refuse it
-    phi = dataclasses.replace(build_map([0, 0, 1], [2]), bad_primes=PrimeSet(()))
-    with pytest.raises(InvariantViolation, match="outside the bad primes"):
+def test_stray_image_factor_raises_in_apply_and_the_oracle(monkeypatch):
+    # gcd(F(P), G(P)) divides Res(F, G) at every P in coprime coordinates, so
+    # both apply and the oracle's pair iteration must refuse a tampered map.
+    # z^2/2 recorded with res=1: the gcd 2 at [2 : 1] does not divide it
+    z2_half = build_map([0, 0, 1], [2])
+    phi = dataclasses.replace(z2_half, res=1)
+    with pytest.raises(InvariantViolation, match="gcd 2, which does not divide"):
         apply(phi, ProjPoint(2, 1))
-    with pytest.raises(InvariantViolation, match="outside the bad primes"):
+    with pytest.raises(InvariantViolation, match="gcd 2, which does not divide"):
         brute_force_preperiodic(phi, 5)
+    # G replaced by F: a common root at [0 : 1], where the gcd is 0.  The
+    # tampered pair has no escape height of its own, so the oracle gets the
+    # untampered map's; scanned to height 1, every other pair has gcd 1
+    phi = dataclasses.replace(z2_half, G=z2_half.F)
+    with pytest.raises(InvariantViolation, match="at 0 has gcd 0"):
+        apply(phi, ProjPoint(0, 1))
+    monkeypatch.setattr(portrait, "escape_height", lambda _: escape_height(z2_half))
+    with pytest.raises(InvariantViolation, match="at 0 has gcd 0"):
+        brute_force_preperiodic(phi, 1)
 
 
 def test_brute_force_keeps_a_cycle_above_any_fixed_cutoff():

@@ -1,4 +1,4 @@
-"""The README's command lines run, and its map expressions mean what it says."""
+"""The README's command lines and quick start run; its map expressions mean what it says."""
 
 import re
 import shlex
@@ -58,6 +58,13 @@ def test_readme_command_line_exits_zero(line, tmp_path, capsys):
         out = argv[k] = str(tmp_path / argv[k])
     assert main(argv) == 0, capsys.readouterr().err
     assert (Path(out).read_text() if out else capsys.readouterr().out).strip()
+
+
+def test_readme_python_quick_start_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README, flags=re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})  # asserts bundle.all_hold itself
+    assert "-2 falls to 2 after 1 steps" in capsys.readouterr().out.splitlines()
 
 
 def test_readme_map_examples_are_the_checked_ones():
