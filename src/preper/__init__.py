@@ -43,7 +43,6 @@ from .families import (
     Claim,
     ClaimReport,
     FamilySpec,
-    family_n_max,
     family_portrait,
     generate,
     verify_claims,
@@ -104,7 +103,6 @@ __all__ = [
     "escape_height",
     "evaluate_bounds",
     "factor",
-    "family_n_max",
     "family_portrait",
     "form_from_poly",
     "formal_period_degree",

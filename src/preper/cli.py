@@ -41,7 +41,7 @@ from .certify import (
 )
 from .dynatomic import PeriodicPoint
 from .dynmap import DegenerateMapError, InvariantViolation, RationalMap, build_map
-from .families import FamilySpec, family_n_max, generate
+from .families import FamilySpec, generate
 from .forms import BinaryForm, _add, _product
 from .portrait import (
     CompletenessFlags,
@@ -537,18 +537,18 @@ def oracle_to_text(portrait: Portrait, height: int) -> str:
 
 _CONFLICTING_FLAGS = (
     ("s", "map"), ("s", "family"), ("map", "family"),
-    ("map", "d"), ("map", "d_range"), ("d", "d_range"),
+    ("map", "d"), ("map", "d_range"), ("d", "d_range"), ("s", "max_period"),
 )
 
 
-def _selected_maps(args) -> list[tuple[Optional[str], Optional[RationalMap], Optional[int]]]:
+def _selected_maps(args) -> list[tuple[Optional[str], Optional[RationalMap]]]:
     """Resolve --map / --family [--d | --d-range] to labeled maps.
 
-    Returns (label, map, default n_max) triples in deterministic order.
-    `bounds` with --s, or with neither --map nor --family, selects no map:
-    its one triple is (None, None, None), for the bound formulas alone.
-    Two flags that name the maps in different ways are rejected together,
-    not one of them ignored.
+    Returns (label, map) pairs in deterministic order. `bounds` with --s,
+    or with neither --map nor --family, selects no map: its one pair is
+    (None, None), for the bound formulas alone. Two flags that name the
+    maps in different ways, or --s and a horizon for no portrait, are
+    rejected together, not one of them ignored.
     """
     for a, b in _CONFLICTING_FLAGS:
         if getattr(args, a, None) is not None and getattr(args, b, None) is not None:
@@ -557,10 +557,10 @@ def _selected_maps(args) -> list[tuple[Optional[str], Optional[RationalMap], Opt
     if "s" in args and args.map is None and args.family is None:
         if args.s is None or args.d is None:
             raise ValueError("formula-only mode needs both --s and --d")
-        return [(None, None, None)]
+        return [(None, None)]
     if args.map is not None:
         expr = parse_map(args.map)
-        return [(args.map, map_from_expr(expr), None)]
+        return [(args.map, map_from_expr(expr))]
     if args.family is None:
         raise ValueError("one of --map or --family is required")
     d_values = []
@@ -576,11 +576,7 @@ def _selected_maps(args) -> list[tuple[Optional[str], Optional[RationalMap], Opt
         d_values = [args.d]
     else:
         raise ValueError("--family needs --d or --d-range")
-    out = []
-    for d in d_values:
-        spec = FamilySpec(args.family, d)
-        out.append((f"{args.family} d={d}", generate(spec), family_n_max(spec)))
-    return out
+    return [(f"{args.family} d={d}", generate(FamilySpec(args.family, d))) for d in d_values]
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -644,12 +640,11 @@ def _run(args) -> int:
         raise ValueError(
             f"analyze --height-oracle takes 0 (no oracle) or a height of at least 1, got {height}"
         )
+    if height and args.format == "dot":
+        raise ValueError("--height-oracle and --format dot cannot be combined: DOT has no oracle")
     pieces = []
-    for label, phi, default_n in _selected_maps(args):  # a --map literal is parsed under the cap
-        portrait = None
-        if phi is not None:
-            n_max = args.max_period if args.max_period is not None else default_n
-            portrait = build_portrait(phi, n_max)
+    for label, phi in _selected_maps(args):  # a --map literal is parsed under the cap
+        portrait = None if phi is None else build_portrait(phi, args.max_period)
         with _uncapped_int_digits():
             piece = args.render(portrait, args)
         if args.format == "text" and label is not None:
@@ -684,23 +679,26 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, help="family parameter")
         if name == "analyze":
             p.add_argument("--d-range", dest="d_range", help="family parameter sweep A:B")
-        p.add_argument("--max-period", dest="max_period", type=int, help="cycle-length horizon")
+        p.add_argument(
+            "--max-period",
+            dest="max_period",
+            type=int,
+            help="cycle-length horizon (default 6 up to degree 3, 4 up to degree 5, else 3)",
+        )
         p.add_argument("--out", help="write output to this file instead of stdout")
         if name == "bounds":
             p.add_argument(
                 "--s", type=int, help="formula-only: number of places including infinity"
             )
-        if name == "oracle":
-            p.add_argument("--height-oracle", dest="height_oracle", type=int, default=25)
         formats = ["text", "json", "dot"] if name == "analyze" else ["text", "json"]
         p.add_argument("--format", choices=formats, default="text")
-        if name == "analyze":
+        if name in ("analyze", "oracle"):
             p.add_argument(
                 "--height-oracle",
                 dest="height_oracle",
                 type=int,
-                default=0,
-                help="also brute-force points up to this height and diff",
+                default=25 if name == "oracle" else 0,
+                help="brute-force points up to this height and diff (default %(default)s)",
             )
         p.set_defaults(render=render)
     return top

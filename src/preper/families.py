@@ -81,23 +81,8 @@ def generate(spec: FamilySpec) -> RationalMap:
     return phi
 
 
-def family_n_max(spec: FamilySpec) -> int:
-    """Period horizon that covers the family's claimed cycles affordably.
-
-    The claims only need periods up to 3 (ex52's cycle) or 2 (ex51's),
-    so high degrees scale the horizon down instead of paying for dynatomic
-    forms of degree d^6.
-    """
-    degree = spec.degree
-    if degree <= 3:
-        return 6
-    if degree <= 5:
-        return 4
-    return 3
-
-
 def family_portrait(spec: FamilySpec, n_max: Optional[int] = None) -> Portrait:
-    return build_portrait(generate(spec), n_max if n_max is not None else family_n_max(spec))
+    return build_portrait(generate(spec), n_max)
 
 
 @dataclass(frozen=True)

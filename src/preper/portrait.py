@@ -36,8 +36,13 @@ class PortraitOverflowError(RuntimeError):
 
 
 def default_period_cap(degree: int) -> int:
-    """Default search depth for cycle lengths, smaller for costly degrees."""
-    return 6 if degree <= 3 else 4
+    """Default search depth for cycle lengths, smaller for costly degrees.
+
+    Every degree keeps the periods 3 and 2 that the ex52 and ex51 claims need.
+    """
+    if degree <= 3:
+        return 6
+    return 4 if degree <= 5 else 3
 
 
 @dataclass(frozen=True)

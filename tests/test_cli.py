@@ -1,8 +1,10 @@
 """Tests for the expression parser, subcommands, and output formats."""
 
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -29,6 +31,7 @@ from preper.qarith import ProjPoint
 
 F = Fraction
 DATA = Path(__file__).resolve().parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -211,14 +214,48 @@ def test_flag_errors_carry_no_parse_position(capsys):
         (["analyze", "--map", "x^2", "--d", "5"], "--map and --d"),
         (["analyze", "--family", "ex52", "--d", "2", "--d-range", "3:3"], "--d and --d-range"),
         (["bounds", "--s", "2", "--d", "2", "--map", "x^2"], "--s and --map"),
+        # the bound formulas alone build no portrait, and DOT has no oracle
+        (["bounds", "--s", "2", "--d", "3", "--max-period", "5"], "--s and --max-period"),
+        (
+            ["analyze", "--map", "x^2-2", "--format", "dot", "--height-oracle", "5"],
+            "--height-oracle and --format dot",
+        ),
     ],
 )
-def test_conflicting_map_selectors_are_rejected(capsys, argv, flags):
-    # neither flag is silently dropped: the command fails and names both
+def test_conflicting_map_selectors_are_rejected(capsys, monkeypatch, argv, flags):
+    # neither flag is silently dropped: the command fails and names both,
+    # before any portrait is built
+    built = []
+    monkeypatch.setattr(cli, "build_portrait", lambda *a: built.append(a))
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {flags} cannot be combined")
+    assert built == []
+
+
+def test_exit_codes_seen_by_a_shell():
+    # `python -m preper.cli` exits with main's return code
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    cases = [
+        (["analyze", "--map", "x^2", "--max-period", "1"], 0, ""),
+        (["analyze", "--map", "x^"], 2, "error: "),
+        (["analyze", "--map", "x"], 3, "degenerate map: "),
+    ]
+    for argv, code, err in cases:
+        done = subprocess.run(
+            [sys.executable, "-m", "preper.cli", *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == code, done.stderr
+        assert done.stderr.startswith(err) and (code != 0 or done.stderr == "")
+        assert (done.stdout != "") == (code == 0)
 
 
 def test_exit_code_on_invariant_failure(capsys, monkeypatch):

@@ -14,8 +14,9 @@ from preper.dynatomic import (
     rational_periodic_points,
 )
 from preper.dynmap import DegenerateMapError, InvariantViolation, apply, build_map
-from preper.families import FamilySpec, family_n_max, generate
+from preper.families import FamilySpec, generate
 from preper.forms import BinaryForm, RootResult, exact_divide, root_multiplicity
+from preper.portrait import default_period_cap
 from preper.qarith import INFINITY, ProjPoint
 
 # classical table, frozen independently of the library's mobius()
@@ -500,7 +501,7 @@ def test_period_forms_match_the_full_iterate_pairs():
 )
 def test_period_forms_match_the_full_iterate_pairs_on_the_families(spec):
     phi = generate(spec)
-    n = family_n_max(spec)
+    n = default_period_cap(spec.degree)
     assert dynatomic._period_forms(phi, n) == _period_forms_from_pairs(phi, n)
 
 

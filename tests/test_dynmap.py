@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from preper import dynmap
 from preper.dynmap import (
     DegenerateMapError,
+    InvariantViolation,
     OrbitRecord,
     RationalMap,
     apply,
@@ -17,7 +19,13 @@ from preper.dynmap import (
     orbit,
     preimages,
 )
-from preper.forms import BinaryForm, iterate_pairs, resultant, resultant_cofactors
+from preper.forms import (
+    BinaryForm,
+    RootResult,
+    iterate_pairs,
+    resultant,
+    resultant_cofactors,
+)
 from preper.qarith import INFINITY, PrimeSet, ProjPoint, integer_root, strip_primes
 
 
@@ -172,6 +180,21 @@ def test_preimages_named_values():
     assert preinf.points == {ProjPoint(0, 1)} and preinf.complete
     pre2 = preimages(phi, ProjPoint(2, 1))
     assert pre2.points == frozenset() and pre2.complete
+
+
+def test_preimages_check_the_root_finder(monkeypatch):
+    # each root the finder returns is checked: more of them than the degree,
+    # or one that does not map to Q, raises instead of entering a portrait
+    phi = example_d2()
+    three = RootResult(roots=tuple((ProjPoint(k, 1), 1) for k in (1, 2, 3)), complete=True)
+    monkeypatch.setattr(dynmap, "rational_roots", lambda f: three)
+    with pytest.raises(InvariantViolation, match="more preimages than the degree"):
+        preimages(phi, ProjPoint(0, 1))
+    # (3-1)(3-2)/3^2 = 2/9, not 0
+    stray = RootResult(roots=((ProjPoint(3, 1), 1),), complete=True)
+    monkeypatch.setattr(dynmap, "rational_roots", lambda f: stray)
+    with pytest.raises(InvariantViolation, match="claimed preimage 3 of 0 fails to map over"):
+        preimages(phi, ProjPoint(0, 1))
 
 
 def random_map(rng: random.Random, d: int = 2) -> RationalMap:

@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
+from preper import families
+from preper.dynmap import InvariantViolation
 from preper.families import (
     FamilySpec,
-    family_n_max,
     family_portrait,
     generate,
     verify_claims,
@@ -66,18 +67,24 @@ def test_generate_matches_direct_product_construction():
             assert Fraction(fx, gx) == expected
 
 
-def test_family_n_max_tracks_degree():
-    assert family_n_max(FamilySpec("ex52", 2)) == 6
-    assert family_n_max(FamilySpec("ex52", 4)) == 4
-    assert family_n_max(FamilySpec("ex52", 7)) == 3
-    assert family_n_max(FamilySpec("ex51", 1)) == 6
-    assert family_n_max(FamilySpec("ex51", 2)) == 4
-    assert family_n_max(FamilySpec("ex51", 3)) == 3
+def test_generate_rejects_a_member_without_its_defining_data(monkeypatch):
+    # generate checks the map it built: the family's degree, and bad
+    # reduction at 2 alone
+    real = build_map
+    monkeypatch.setattr(families, "build_map", lambda num, den: real([0, 0, 1], [1]))
+    with pytest.raises(InvariantViolation, match="built degree 2, wanted 3"):
+        generate(FamilySpec("ex51", 1))
+    # (z^2 + 3)/z^2 has degree 2, as ex52 d=2 does, but bad reduction at 3
+    monkeypatch.setattr(families, "build_map", lambda num, den: real([3, 0, 1], [0, 0, 1]))
+    with pytest.raises(InvariantViolation, match=r"bad reduction at \[3\] beyond 2"):
+        generate(FamilySpec("ex52", 2))
 
 
 def test_claims_ex52_small():
     spec = FamilySpec("ex52", 2)
-    report = verify_claims(spec, family_portrait(spec))
+    port = family_portrait(spec)
+    assert port.flags.n_max == 6
+    report = verify_claims(spec, port)
     assert report.all_hold, report.failures()
     assert report.observed_periodic == 3
     assert report.observed_tails == 2
@@ -107,9 +114,12 @@ def test_claims_ex51_d1():
 
 
 def test_claims_ex51_range():
-    for d in (2, 3):
+    # degrees 5 and 7: the default horizon is 4, then 3
+    for d, n_max in ((2, 4), (3, 3)):
         spec = FamilySpec("ex51", d)
-        report = verify_claims(spec, family_portrait(spec))
+        port = family_portrait(spec)
+        assert port.flags.n_max == n_max
+        report = verify_claims(spec, port)
         assert report.all_hold, report.failures()
         assert report.observed_periodic >= 2 * d + 1
 

@@ -153,10 +153,9 @@ def test_portrait_fixed_points_with_tails():
 
 
 def test_default_period_cap():
-    assert default_period_cap(2) == 6
-    assert default_period_cap(3) == 6
-    assert default_period_cap(4) == 4
-    assert default_period_cap(9) == 4
+    # the one default horizon, for --map and --family maps alike, at every
+    # degree from 2 to 9: ex52 d=2..8 has degree d, ex51 d=1..3 degree 2d + 1
+    assert [default_period_cap(degree) for degree in range(2, 10)] == [6, 6, 4, 4, 3, 3, 3, 3]
 
 
 def test_overflow_guard(monkeypatch):
