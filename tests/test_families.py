@@ -80,6 +80,18 @@ def test_generate_rejects_a_member_without_its_defining_data(monkeypatch):
         generate(FamilySpec("ex52", 2))
 
 
+def test_family_n_max_tracks_degree():
+    for family, d, n_max in (
+        ("ex52", 2, 6),
+        ("ex52", 4, 4),
+        ("ex52", 7, 3),
+        ("ex51", 1, 6),
+        ("ex51", 2, 4),
+        ("ex51", 3, 3),
+    ):
+        assert family_portrait(FamilySpec(family, d)).flags.n_max == n_max
+
+
 def test_claims_ex52_small():
     spec = FamilySpec("ex52", 2)
     port = family_portrait(spec)
