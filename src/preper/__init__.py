@@ -38,6 +38,7 @@ from .dynmap import (
     escape_height,
     orbit,
     preimages,
+    preperiodic_height_bound,
 )
 from .families import (
     Claim,
@@ -113,6 +114,7 @@ __all__ = [
     "multiplier",
     "orbit",
     "preimages",
+    "preperiodic_height_bound",
     "rational_periodic_points",
     "rational_points_up_to",
     "rational_roots",

@@ -142,6 +142,56 @@ def escape_height(phi: RationalMap) -> int:
     return integer_root(K, d - 1)
 
 
+def _valuation(n: int, p: int) -> int:
+    """v_p(n) for n != 0."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def preperiodic_height_bound(phi: RationalMap) -> int:
+    """A height that no preperiodic point of phi exceeds.
+
+    For most maps this is escape_height(phi).  When G = c*Y^d, phi is the
+    polynomial (f_0 z^d + f_1 z^(d-1) + ... + f_d) / c, and each place bounds
+    its preperiodic points on its own (Call and Goldstine, Canonical heights
+    on projective space, 1997); the result is the smaller of the two bounds.
+    - At infinity, |z| > R = max(1, (|f_1| + ... + |f_d| + |c|) / |f_0|)
+      gives |phi(z)| > |z|^(d-1) >= |z|.
+    - At a prime p, |z|_p above every |f_k/f_0|_p^(1/k) and above
+      |f_0/c|_p^(-1/(d-1)) gives |phi(z)|_p = |f_0/c|_p * |z|_p^d > |z|_p.
+    Either way the orbit grows for ever.  So a preperiodic z = a/b has
+    |a| <= R*b, and p^e_p is the most of p in b, with e_p the largest of 0,
+    floor((v_p(f_0) - v_p(f_k)) / k) over f_k != 0 and
+    floor((v_p(f_0) - v_p(c)) / (d - 1)).  With D = prod p^e_p, its height
+    is at most floor(R*D).  Only a p dividing f_0 has e_p > 0, and
+    Res(F, G) = +-(c*f_0)^d, so these primes are bad primes and nothing is
+    factored; with the bad primes incomplete the bound is escape_height(phi).
+
+    Unlike escape_height, a point above this bound need not climb; the bound
+    only says that no preperiodic point lies above it, and so that an orbit
+    which passes it wanders.
+    """
+    h = escape_height(phi)
+    *lower, c = phi.G.coeffs
+    if any(lower) or not phi.bad_primes_complete:
+        return h
+    f, d = phi.F.coeffs, phi.degree
+    f0 = abs(f[0])
+    D = 1
+    for p in phi.bad_primes.primes:
+        v0 = _valuation(f0, p)
+        e = max(0, (v0 - _valuation(c, p)) // (d - 1))
+        for k, fk in enumerate(f[1:], 1):
+            if fk:
+                e = max(e, (v0 - _valuation(fk, p)) // k)
+        D *= p**e
+    R_num = sum(map(abs, f[1:])) + abs(c)
+    return min(h, max(D, R_num * D // f0))
+
+
 @dataclass(frozen=True)
 class OrbitRecord:
     """Forward orbit of a point until it repeats or passes the escape height.

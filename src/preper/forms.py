@@ -11,8 +11,11 @@ ascending powers of w.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, islice, zip_longest
 from typing import Iterator, Sequence
 
@@ -446,11 +449,59 @@ def root_multiplicity(f: BinaryForm, P: ProjPoint) -> int:
         m += 1
 
 
+def _slot_format(p: int) -> str:
+    """The array typecode of the unsigned slots _roots_mod_p packs for p: each holds p^3."""
+    for code in "IQ":
+        if p**3 < 1 << 8 * array(code).itemsize:
+            return code
+    raise ValueError(f"no machine word holds {p}^3: the residue screen needs p^3 < 2^64")
+
+
+@lru_cache(maxsize=64)
+def _residue_order(p: int) -> array:
+    """The residue in each slot of _roots_mod_p: g^0, g^1, ..., g^(p-2) mod p, then 0.
+
+    g is the least primitive root mod p, so every nonzero residue appears once.
+    """
+    m = p - 1
+    qs = [q for q, _ in factor(m).factors]
+    g = next(g for g in range(1, p) if all(pow(g, m // q, p) != 1 for q in qs))
+    order = array(_slot_format(p), [1])
+    for _ in range(m - 1):
+        order.append(order[-1] * g % p)
+    order.append(0)
+    return order
+
+
+# a form needs at most p columns at p, and the screen primes are a few from
+# _SCREEN_PRIME_MIN up, so 1024 columns hold them all; the bound keeps a
+# long-lived process that meets many primes from growing without end
+@lru_cache(maxsize=1024)
+def _power_column(p: int, e: int) -> int:
+    """r^e mod p for r in the slot order of _residue_order(p), packed, slot 0 lowest.
+
+    For r = g^k, r^e = g^(k*e mod (p - 1)), which is entry k of every e-th
+    entry of e copies of the cycle g^0, ..., g^(p-2): the column is a copy
+    and a strided slice, with no arithmetic per residue.
+    """
+    if e == 0:
+        column = array(_slot_format(p), [1]) * p
+    else:
+        column = (_residue_order(p)[:-1] * e)[::e]
+        column.append(0)
+    return int.from_bytes(column.tobytes(), sys.byteorder)
+
+
 def _roots_mod_p(coeffs: tuple[int, ...], p: int) -> frozenset[int]:
     """The r in F_p where the polynomial with descending coefficients coeffs vanishes.
 
     Exponents are first folded modulo x^p - x, which every r in F_p
-    satisfies, so the cost is p^2 + deg steps rather than p * deg.
+    satisfies, so at most p power columns enter.  Then every r is evaluated
+    at once: the folded coefficients, reduced mod p, weight the packed
+    columns r^e mod p (slots in the order of _residue_order(p)) in one
+    big-integer sum.  A slot then holds a sum of at most p products below
+    p^2, so it stays below p^3 and never carries into the next; the slots
+    are read back through a memoryview.
     """
     deg = len(coeffs) - 1
     folded = [0] * min(deg + 1, p)
@@ -459,15 +510,12 @@ def _roots_mod_p(coeffs: tuple[int, ...], p: int) -> frozenset[int]:
         if e >= p:
             e = (e - 1) % (p - 1) + 1
         folded[e] += c
-    folded = [c % p for c in reversed(folded)]
-    roots = []
-    for r in range(p):
-        acc = 0
-        for c in folded:
-            acc = (acc * r + c) % p
-        if acc == 0:
-            roots.append(r)
-    return frozenset(roots)
+    folded = [c % p for c in folded]
+    code = _slot_format(p)
+    total = sum(c * _power_column(p, e) for e, c in enumerate(folded) if c)
+    slots = memoryview(total.to_bytes(p * array(code).itemsize, sys.byteorder)).cast(code)
+    order = _residue_order(p)
+    return frozenset([order[k] for k, v in enumerate(slots) if v % p == 0])
 
 
 def _residue_screen(core: tuple[int, ...]) -> list[tuple[int, frozenset[int]]]:

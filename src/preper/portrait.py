@@ -10,14 +10,15 @@ were exhaustive, and the portrait carries those flags.
 
 `brute_force_preperiodic` is the independent cross-check: it classifies every
 point up to a height bound by direct iteration, sharing verdicts along orbits
-so large scans stay cheap. An orbit that passes the map's escape height
-provably wanders (heights grow at every step above it), so no point above
-that height is ever enumerated or iterated further. The scan walks bare
-coordinate pairs and steps them through `dynmap.image_pair`, the one
-map-step kernel, which checks that gcd(F, G) divides Res(F, G). Nearly
-every scanned point leaves the escape height in one step; such a point is
-settled by that one step, with no verdict or path kept, and only the
-points returned are made into ProjPoints.
+so large scans stay cheap. No preperiodic point lies above the map's
+preperiodic height bound (`dynmap.preperiodic_height_bound`: the
+Call-Silverman escape height, or for a polynomial the smaller bound its
+places give), so an orbit that passes it wanders, and no point above it is
+ever enumerated or iterated further. The scan walks bare coordinate pairs
+and steps them through `dynmap.image_pair`, the one map-step kernel, which
+checks that gcd(F, G) divides Res(F, G). Nearly every scanned point leaves
+the bound in one step; such a point is settled by that one step, with no
+verdict or path kept, and only the points returned are made into ProjPoints.
 """
 
 import math
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .dynatomic import PeriodicPoint, rational_periodic_points
-from .dynmap import RationalMap, escape_height, image_pair, preimages
+from .dynmap import RationalMap, image_pair, preimages, preperiodic_height_bound
 from .qarith import ProjPoint
 
 MAX_PORTRAIT_POINTS = 10**5
@@ -200,27 +201,29 @@ def brute_force_preperiodic(phi: RationalMap, height_bound: int) -> frozenset[Pr
     """Classify every point up to a height bound by direct iteration.
 
     Orbits share verdicts: once a point is known preperiodic or wandering,
-    everything that flowed through it inherits the answer. A point above
-    escape_height(phi) is proven to wander, so the scan stops there: only
-    points up to min(height_bound, escape_height(phi)) are enumerated, and
-    an orbit that passes the escape height settles as wandering.
+    everything that flowed through it inherits the answer. No preperiodic
+    point lies above preperiodic_height_bound(phi), the smaller of the
+    escape height and, for a polynomial, its local bound, and every point
+    on the orbit of a preperiodic point is preperiodic. So the scan stops
+    there: only points up to min(height_bound, preperiodic_height_bound(phi))
+    are enumerated, and an orbit that passes the bound settles as wandering.
 
     The scan walks the bare coordinate pairs of rational_points_up_to and
     steps them with dynmap.image_pair, the one map-step kernel, so every
     step checks that gcd(F, G) divides Res(F, G). Most points leave in one
     step: a scanned pair with no verdict is stepped once, and if that image
-    is above the escape height the pair wanders with no bookkeeping at all;
-    no verdict is kept, and an orbit that reaches it later steps it again.
+    is above the bound the pair wanders with no bookkeeping at all; no
+    verdict is kept, and an orbit that reaches it later steps it again.
     Otherwise its orbit is followed on from that image, and every pair on
     the path gets the verdict. Each step is followed by one height test, so
-    no pair above the escape height is ever stepped. ProjPoints are made
-    only for the points returned.
+    no pair above the bound is ever stepped. ProjPoints are made only for
+    the points returned.
     """
-    cutoff = escape_height(phi)
+    cutoff = preperiodic_height_bound(phi)
     verdict: dict[tuple[int, int], bool] = {}
 
     def settle(path: set[tuple[int, int]], x: int, y: int) -> bool:
-        # (x, y) is at or below the escape height: the image of the pair
+        # (x, y) is at or below the cutoff: the image of the pair
         # last added to path
         while True:
             key = (x, y)

@@ -1,5 +1,6 @@
 """Map construction, reduction data, iteration, preimages."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from preper.dynmap import (
     image_pair,
     orbit,
     preimages,
+    preperiodic_height_bound,
 )
 from preper.forms import (
     BinaryForm,
@@ -319,3 +321,56 @@ def test_points_above_escape_height_climb():
         for _ in range(300):
             P = _random_point_of_height(rng, rng.randrange(h + 1, 4 * h + 6))
             assert apply(phi, P).height() > P.height()
+
+
+def _random_polynomials(rng, count, degrees):
+    out = []
+    while len(out) < count:
+        d = degrees[len(out) % len(degrees)]
+        num = [rng.randrange(-9, 10) for _ in range(d + 1)]
+        try:
+            out.append(build_map(num, [rng.randrange(1, 10)]))
+        except DegenerateMapError:
+            continue
+    return out
+
+
+def _local_bound(phi, monkeypatch):
+    # preperiodic_height_bound with escape_height out of the way
+    with monkeypatch.context() as m:
+        m.setattr(dynmap, "escape_height", lambda _: 10**100)
+        return preperiodic_height_bound(phi)
+
+
+def test_preperiodic_height_bound_of_named_maps(monkeypatch):
+    # z^2 - 29/16 = [16X^2 - 29Y^2 : 16Y^2]: R = (29 + 16)/16, and at 2
+    # e = floor((4 - 0)/2) = 2, so floor(45/16 * 4) = 11.  z^2/3: R = 3, and
+    # 3 divides c but not f_0, so D = 1.  z^2 + 1: R = 2
+    for num, den, local, escape in (
+        ([-29, 0, 16], [16], 11, 11520),
+        ([0, 0, 1], [3], 3, 9),
+        ([1, 0, 1], [1], 2, 2),
+    ):
+        phi = build_map(num, den)
+        assert (_local_bound(phi, monkeypatch), escape_height(phi)) == (local, escape)
+        assert preperiodic_height_bound(phi) == local
+    # not a polynomial, or bad primes not all known: the escape height
+    for phi in (example_d2(), dataclasses.replace(build_map([-29, 0, 16], [16]), res_cofactor=91)):
+        assert preperiodic_height_bound(phi) == escape_height(phi)
+
+
+def test_local_bound_against_escape_height(monkeypatch):
+    # on the z^2 + a/b grid and on seeded quadratics the local bound is never
+    # above the escape height; a cubic or quartic can have it above, so the
+    # bound is the smaller of the two
+    grid = [build_map([a, 0, b], [b]) for b in range(1, 17) for a in range(-40, 41) if math.gcd(a, b) == 1]
+    for phi in grid + _random_polynomials(random.Random(11), 40, (2,)):
+        assert _local_bound(phi, monkeypatch) <= escape_height(phi)
+    cubic = build_map([2, -9, -1, 1], [1])  # z^3 - z^2 - 9z + 2: local 13, escape 11
+    above = 0
+    for phi in _random_polynomials(random.Random(11), 60, (3, 4)) + [cubic]:
+        local, escape = _local_bound(phi, monkeypatch), escape_height(phi)
+        assert preperiodic_height_bound(phi) == min(local, escape)
+        above += local > escape
+    assert (_local_bound(cubic, monkeypatch), escape_height(cubic)) == (13, 11)
+    assert above >= 2

@@ -648,6 +648,56 @@ def test_residue_screen_matches_brute_evaluation():
     assert folded >= 10 and skipped >= 10
 
 
+def _roots_by_horner(coeffs, p):
+    """The loop the packed sum replaced: Horner's rule at every r, mod p."""
+    roots = set()
+    for r in range(p):
+        acc = 0
+        for c in coeffs:
+            acc = (acc * r + c) % p
+        if acc == 0:
+            roots.add(r)
+    return roots
+
+
+def test_roots_mod_p_packed_sum_matches_horner():
+    # the packed sum against Horner's rule: primes on both sides of the
+    # 4-byte slot (p^3 < 2^32 up to p = 1621, 8-byte slots above 2^11),
+    # degrees at and above p so that the fold runs, coefficients of p - 1
+    # in every column, and forms that vanish mod p at every r
+    rng = random.Random(61)
+    assert forms._slot_format(1621) == "I" and forms._slot_format(2053) == "Q"
+    with pytest.raises(ValueError, match="needs p\\^3 < 2\\^64"):
+        forms._slot_format(2**22 + 15)
+    cases = [((1,) + (0,) * 59 + (-1, 0), 61), ((1,) + (0,) * 65 + (-1, 0), 67)]  # x^p - x
+    cases += [(tuple(61 * rng.randrange(-99, 100) for _ in range(7)), 61)]
+    cases += [((-1,) * 200, 61), ((60,) * 150, 71)]
+    for p in (2, 3, 61, 67, 71, 1621, 2053, 4099):
+        for deg in (1, 2, 5, p - 1, p, p + 1, 3 * p + 2):
+            if deg <= 400:
+                cases.append((tuple(rng.randrange(-(10**9), 10**9) for _ in range(deg + 1)), p))
+    for coeffs, p in cases:
+        assert forms._roots_mod_p(coeffs, p) == _roots_by_horner(coeffs, p), (p, len(coeffs))
+    assert forms._roots_mod_p(cases[0][0], 61) == set(range(61))
+    assert forms._roots_mod_p(cases[2][0], 61) == set(range(61))
+
+
+def test_power_column_cache_stays_bounded():
+    # a long-lived process screens forms at many primes; the packed columns
+    # and slot orders it keeps are capped by the cache sizes, not by the
+    # primes it has seen
+    maxsize = forms._power_column.cache_info().maxsize
+    coeffs = tuple(range(1, 20))
+    primes = [p for p in range(101, 10**4) if _is_prime_by_trial(p)][:100]
+    assert len(primes) * len(coeffs) > maxsize
+    for p in primes:
+        assert forms._roots_mod_p(coeffs, p) == _roots_by_horner(coeffs, p)
+        assert sorted(forms._residue_order(p)) == list(range(p))
+    assert forms._power_column.cache_info().currsize == maxsize
+    orders = forms._residue_order.cache_info()
+    assert orders.currsize == orders.maxsize < len(primes)
+
+
 def test_rational_roots_planted_roots():
     # products of linear forms (bX - aY) with large denominators and
     # multiplicities up to 3, times an Eisenstein (at 2) factor, which has

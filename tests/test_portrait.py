@@ -17,6 +17,7 @@ from preper.dynmap import (
     build_map,
     escape_height,
     orbit,
+    preperiodic_height_bound,
 )
 from preper.families import FamilySpec, generate
 from preper.portrait import (
@@ -196,8 +197,9 @@ def test_brute_force_against_direct_orbits():
 
 def test_pair_scan_against_per_point_orbits(monkeypatch):
     # the pair scan with its one-step fast path must classify exactly as one
-    # orbit at a time does. It never steps a pair above the escape height,
-    # and only a pair whose first image escapes is stepped twice: no verdict
+    # orbit at a time does, and orbit climbs to the escape height while the
+    # scan stops at the preperiodic height bound. It never steps a pair above
+    # that bound, and only a pair whose first image escapes is stepped twice: no verdict
     # is kept for it, so an orbit that reaches it later steps it again
     import preper.portrait as portrait_module
 
@@ -222,7 +224,7 @@ def test_pair_scan_against_per_point_orbits(monkeypatch):
         except DegenerateMapError:
             continue
         built += 1
-        cutoff = escape_height(phi)
+        cutoff = preperiodic_height_bound(phi)
         steps.clear()
         brute = brute_force_preperiodic(phi, H)
         records = {P: orbit(phi, P) for P in rational_points_up_to(H)}
@@ -239,12 +241,12 @@ def test_pair_scan_against_per_point_orbits(monkeypatch):
             stepped.add((x, y))
         inf = records[INFINITY]
         seen["cycle through infinity"] += inf.kind == "preperiodic" and INFINITY in inf.points[inf.tail_length :]
-        seen["escape height below H"] += cutoff < H
+        seen["height bound below H"] += cutoff < H
     assert set(seen) == {
         "gcd divided out at a bad prime",
         "first-step escape reached later",
         "cycle through infinity",
-        "escape height below H",
+        "height bound below H",
     } and all(seen.values()), seen
 
 
@@ -259,14 +261,58 @@ def test_stray_image_factor_raises_in_apply_and_the_oracle(monkeypatch):
     with pytest.raises(InvariantViolation, match="gcd 2, which does not divide"):
         brute_force_preperiodic(phi, 5)
     # G replaced by F: a common root at [0 : 1], where the gcd is 0.  The
-    # tampered pair has no escape height of its own, so the oracle gets the
+    # tampered pair has no height bound of its own, so the oracle gets the
     # untampered map's; scanned to height 1, every other pair has gcd 1
     phi = dataclasses.replace(z2_half, G=z2_half.F)
     with pytest.raises(InvariantViolation, match="at 0 has gcd 0"):
         apply(phi, ProjPoint(0, 1))
-    monkeypatch.setattr(portrait, "escape_height", lambda _: escape_height(z2_half))
+    monkeypatch.setattr(portrait, "preperiodic_height_bound", lambda _: preperiodic_height_bound(z2_half))
     with pytest.raises(InvariantViolation, match="at 0 has gcd 0"):
         brute_force_preperiodic(phi, 1)
+
+
+def test_oracle_to_the_height_bound_is_the_whole_portrait():
+    # no preperiodic point of a polynomial lies above its local bound, so the
+    # oracle scanned that far finds every one: on the z^2 + a/b grid and on
+    # seeded polynomials of degree 2-4 it returns the closed portrait's points
+    maps = [build_map([a, 0, b], [b]) for b in range(1, 17) for a in range(-40, 41) if math.gcd(a, b) == 1]
+    rng = random.Random(2024)
+    while len(maps) < 791 + 30:
+        d = 2 + len(maps) % 3
+        num = [rng.randrange(-6, 7) for _ in range(d)] + [rng.choice((1, 2, 3, 4, -1, -2))]
+        try:
+            maps.append(build_map(num, [rng.choice((1, 2, 3, 4, 6, -1))]))
+        except DegenerateMapError:
+            continue
+    sizes = Counter()
+    for phi in maps:
+        port = build_portrait(phi, 4)
+        assert port.flags.closed
+        bound = preperiodic_height_bound(phi)
+        assert brute_force_preperiodic(phi, bound) == set(port.points()), phi
+        sizes[len(port.points())] += 1
+    assert min(sizes) == 1 and max(sizes) >= 6, sizes
+
+
+def test_planted_fixed_points_near_the_height_bound():
+    # z^2 + x0 - x0^2 fixes x0 and 1 - x0.  For x0 = (b + k)/b the bound is
+    # b + floor(|(b + k) k| / b), so b + k + floor(k^2 / b) for k > 0: x0 lies
+    # at most k^2 below it, and on it for k = 1.  The oracle scanned to the
+    # bound finds both fixed points
+    rng = random.Random(31)
+    planted = [(b, 1) for b in range(2, 30)]
+    while len(planted) < 60:
+        b, k = rng.randrange(2, 30), rng.choice((-3, -2, -1, 1, 2, 3))
+        if math.gcd(b, k) == 1:
+            planted.append((b, k))
+    for b, k in planted:
+        a = b + k
+        phi = build_map([a * b - a * a, 0, b * b], [b * b])
+        bound = preperiodic_height_bound(phi)
+        x0 = ProjPoint(a, b)
+        assert x0.height() <= bound <= x0.height() + k * k
+        assert k != 1 or bound == x0.height()
+        assert {x0, ProjPoint(b - a, b)} <= brute_force_preperiodic(phi, bound)
 
 
 def test_brute_force_keeps_a_cycle_above_any_fixed_cutoff():
@@ -296,7 +342,7 @@ def test_brute_force_scans_only_up_to_the_escape_height(monkeypatch):
 
     monkeypatch.setattr(portrait_module, "_coprime_pairs_up_to", recorded)
     assert brute_force_preperiodic(phi, 25) == {INFINITY}
-    assert bounds == [escape_height(phi)] == [2]
+    assert bounds == [preperiodic_height_bound(phi)] == [escape_height(phi)] == [2]
 
 
 def test_portrait_matches_brute_force_on_named_maps():
