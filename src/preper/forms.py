@@ -484,10 +484,11 @@ def _power_column(p: int, e: int) -> int:
     entry of e copies of the cycle g^0, ..., g^(p-2): the column is a copy
     and a strided slice, with no arithmetic per residue.
     """
+    order = _residue_order(p)
     if e == 0:
-        column = array(_slot_format(p), [1]) * p
+        column = array(order.typecode, [1]) * p
     else:
-        column = (_residue_order(p)[:-1] * e)[::e]
+        column = (order[:-1] * e)[::e]
         column.append(0)
     return int.from_bytes(column.tobytes(), sys.byteorder)
 
@@ -511,10 +512,9 @@ def _roots_mod_p(coeffs: tuple[int, ...], p: int) -> frozenset[int]:
             e = (e - 1) % (p - 1) + 1
         folded[e] += c
     folded = [c % p for c in folded]
-    code = _slot_format(p)
-    total = sum(c * _power_column(p, e) for e, c in enumerate(folded) if c)
-    slots = memoryview(total.to_bytes(p * array(code).itemsize, sys.byteorder)).cast(code)
     order = _residue_order(p)
+    total = sum(c * _power_column(p, e) for e, c in enumerate(folded) if c)
+    slots = memoryview(total.to_bytes(p * order.itemsize, sys.byteorder)).cast(order.typecode)
     return frozenset([order[k] for k, v in enumerate(slots) if v % p == 0])
 
 
