@@ -530,12 +530,13 @@ def _residue_screen(core: tuple[int, ...]) -> list[tuple[int, frozenset[int]]]:
 
 
 def _default_factor_budget(n: int) -> dict:
-    # rho can only reach ~35-bit factors under any sane budget; on gigantic
-    # inputs each step is also expensive, so the budget shrinks with size and
-    # the completeness flag carries the consequence
+    # factor's default budget finds factors of up to about 55 bits.  On
+    # gigantic inputs each rho step and each curve is also expensive, so the
+    # budget shrinks with size, to one rho attempt and six curves at the
+    # first stage-1 bound, and the completeness flag carries the consequence
     if abs(n).bit_length() <= 1500:
         return {}
-    return {"rho_steps": 30_000, "rho_restarts": 6}
+    return {"rho_steps": 30_000, "curves": 6}
 
 
 def _screened_candidates(

@@ -70,6 +70,15 @@ def test_build_map_z2_plus_1_good_everywhere():
     assert phi.bad_primes.s == 1
 
 
+def test_build_map_finds_bad_primes_past_rhos_reach():
+    # z^2 + 1/N with N the product of the primes after 2^45 and 2^46: Res
+    # is a power of N, and its primes are found, not left in a cofactor
+    p, q = 35184372088891, 70368744177679
+    phi = build_map([Fraction(1, p * q), 0, 1], [1])
+    assert phi.bad_primes_complete
+    assert phi.bad_primes == PrimeSet((p, q))
+
+
 def test_build_map_clears_denominators_and_content():
     # (z^2/2 + 1/2) / (z/2... ) scaled versions build the same map
     a = build_map([Fraction(1, 2), 0, Fraction(1, 2)], [Fraction(1, 2)])

@@ -471,7 +471,7 @@ def test_rational_roots_against_brute_scan():
 
 
 HARD_SEMIPRIME = (2**127 - 1) * (2**89 - 1)
-STARVED_BUDGET = {"rho_steps": 10, "rho_restarts": 1}
+STARVED_BUDGET = {"rho_steps": 10, "curves": 1}
 
 
 @pytest.fixture

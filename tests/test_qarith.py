@@ -107,9 +107,9 @@ def test_factor_splits_semiprime_beyond_trial_bound():
 
 def test_factor_splits_perfect_powers_without_rho():
     # prime powers beyond the trial bound: the perfect-power branch alone
-    # splits them, so a zero rho budget still factors them completely
+    # splits them, so a zero budget still factors them completely
     for p, e in ((10**9 + 7, 5), (2**61 - 1, 2)):
-        for kwargs in ({}, {"rho_restarts": 0}):
+        for kwargs in ({}, {"rho_steps": 0, "curves": 0}):
             res = factor(p**e, **kwargs)
             assert res.factors == ((p, e),)
             assert res.complete
@@ -123,21 +123,37 @@ def _next_prime(n: int) -> int:
 
 
 def test_factor_budget_surfaces_cofactor():
-    # two ~130-bit primes: rho with a starved budget must give up loudly
+    # two ~130-bit primes: a starved budget must give up loudly
     p = _next_prime(2**129)
     q = _next_prime(p)
-    res = factor(p * q, rho_steps=50, rho_restarts=2)
+    res = factor(p * q, rho_steps=50, curves=2)
     assert not res.complete
     assert res.cofactor == p * q
     assert math.prod(f**e for f, e in res.factors) * res.cofactor == p * q
 
 
-def test_factor_rho_splits_midsize_semiprime():
-    # smallest factor ~2^36, within reach of the default rho budget
+def test_factor_splits_midsize_semiprime():
+    # smallest factor ~2^36, past the reach of the rho attempt
     p = _next_prime(2**36)
     q = _next_prime(2**37)
     full = factor(p * q)
     assert full.complete and full.factors == ((p, 1), (q, 1))
+
+
+def test_factor_splits_semiprimes_of_40_to_55_bits():
+    # both primes past rho's reach: the default budget of curves splits
+    # them.  N is the resultant's core in the z^2 + 1/N map of test_dynmap
+    N = _next_prime(2**45) * _next_prime(2**46)
+    rng = random.Random(4055)
+    cases = [N]
+    for _ in range(2):
+        bits = rng.randint(40, 55), rng.randint(40, 55)
+        p, q = (_next_prime(rng.getrandbits(b) | 1 << b - 1) for b in bits)
+        cases.append(p * q)
+    for n in cases:
+        res = factor(n)
+        assert res.complete and len(res.factors) == 2, n
+        assert math.prod(p**e for p, e in res.factors) == n
 
 
 # the budget rational_roots gives an end coefficient above 1500 bits
@@ -176,37 +192,62 @@ def test_factor_returns_planted_factorizations():
     assert powers > 30 and past_deterministic > 30
 
 
-def test_factor_restarts_count_only_failures():
-    # more splits than the default pool of restarts: as no split uses one up,
-    # a single restart is enough
+def test_factor_curves_count_only_failures():
+    # no split uses up the budget.  Rho splits the small primes with no
+    # curve at all.  With rho off, curves split primes of 30-34 bits, and
+    # a budget of one more curve than failed, for the split that follows
+    # the last failure, is enough
     bound = qarith._TRIAL_BOUND
     primes = _primes_between(random.Random(1515), bound, 10 * bound, 30)
-    res = factor(math.prod(primes), rho_restarts=1)
+    res = factor(math.prod(primes), curves=0)
+    assert res.complete
+    assert res.factors == tuple((p, 1) for p in primes)
+    primes = _primes_between(random.Random(1515), 2**30, 2**34, 4)
+    outcomes: list[bool] = []
+    curve = qarith._ecm_curve
+
+    def recording_curve(n: int, sigma: int, b1: int) -> int:
+        g = curve(n, sigma, b1)
+        outcomes.append(g != 1)
+        return g
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qarith, "_ecm_curve", recording_curve)
+        res = factor(math.prod(primes), rho_steps=0)
+    assert res.complete and outcomes.count(True) >= 3
+    res = factor(math.prod(primes), rho_steps=0, curves=outcomes.count(False) + 1)
     assert res.complete
     assert res.factors == tuple((p, 1) for p in primes)
 
 
-def test_factor_rho_seeds_do_not_depend_on_earlier_splits(monkeypatch):
+def test_factor_curves_do_not_depend_on_earlier_splits(monkeypatch):
     # R is out of reach of this budget; the dozen small primes next to it
-    # split first and leave R the seeds it gets alone, R + 1 and then R
+    # split first and leave R the rho seed and the curves it gets alone
     R = (2**61 - 1) * (2**89 - 1)
-    budget = {"rho_steps": 20_000, "rho_restarts": 2}
+    budget = {"rho_steps": 20_000, "curves": 2}
     bound = qarith._TRIAL_BOUND
     primes = _primes_between(random.Random(1516), bound, 10 * bound, 12)
-    seeds: list[int] = []
-    rho = qarith._brent_rho
+    calls: list[tuple] = []
+    rho, curve = qarith._brent_rho, qarith._ecm_curve
 
     def recording_rho(n: int, seed: int, max_steps: int) -> int:
         if n == R:
-            seeds.append(seed)
+            calls.append(("rho", seed))
         return rho(n, seed, max_steps)
 
+    def recording_curve(n: int, sigma: int, b1: int) -> int:
+        if n == R:
+            calls.append(("curve", sigma, b1))
+        return curve(n, sigma, b1)
+
     monkeypatch.setattr(qarith, "_brent_rho", recording_rho)
+    monkeypatch.setattr(qarith, "_ecm_curve", recording_curve)
     alone = factor(R, **budget)
-    assert alone.cofactor == R and seeds == [R + 1, R]
-    seeds.clear()
+    assert alone.cofactor == R and [c[0] for c in calls] == ["rho", "curve", "curve"]
+    first = list(calls)
+    calls.clear()
     mixed = factor(R * math.prod(primes), **budget)
-    assert mixed.cofactor == R and seeds == [R + 1, R]
+    assert mixed.cofactor == R and calls == first
     assert mixed.factors == tuple((p, 1) for p in primes)
 
 
