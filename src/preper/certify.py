@@ -181,13 +181,21 @@ def per_bound_tm_terms(s: int, degree: int) -> tuple[int, int]:
     return (5 * 10**6 * (degree - 1)) ** (s + 3), 4 * 2 ** (128 * (s + 2))
 
 
+# The largest 16*s*d^3 that evaluate_bounds accepts: its degree bounds are
+# multiples of 2^(16*s*d^3), and CPython prints an integer in time quadratic
+# in its length (s = 2, d = 20: 0.3 s; d = 30: 3.5 s; d = 40: 20 s).
+_MAX_BOUND_EXPONENT = 2**18
+
+
 def evaluate_bounds(s: int, degree: int) -> BoundReport:
     """Evaluate all bounds for a map of the given degree with |S| = s."""
     if s < 1:
         raise ValueError("s counts the archimedean place, so s >= 1")
     if degree < 2:
         raise ValueError("the bounds require degree at least 2")
-    big = 2 ** (16 * s * degree**3)
+    if (exponent := 16 * s * degree**3) > _MAX_BOUND_EXPONENT:
+        raise ValueError(f"bounds at s = {s}, d = {degree} need 2^{exponent}, too large to print")
+    big = 2**exponent
     with localcontext() as ctx:
         ctx.prec = LN_PRECISION
         ln_bound = s * (

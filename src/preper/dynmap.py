@@ -123,23 +123,22 @@ def apply(phi: RationalMap, P: ProjPoint) -> ProjPoint:
 def escape_height(phi: RationalMap) -> int:
     """A height above which phi provably raises the height at every step.
 
-    With R = Res(F, G) and d = deg phi, resultant_cofactors gives integer
-    forms of degree d - 1 with A_X*F + B_X*G = R*X^(2d-1) and
-    A_Y*F + B_Y*G = R*Y^(2d-1).  Let K be the larger of the coefficient
-    1-norm sums |A_X| + |B_X| and |A_Y| + |B_Y|.  For coprime (x, y) of
-    height H, gcd(F(x, y), G(x, y)) divides R, so H(phi(P)) >= H^d / K
-    (Call and Silverman 1993; Silverman, The Arithmetic of Dynamical
-    Systems, Prop. 2.13 and Thm. 3.11).  The result is the largest h with
-    h^(d-1) <= K: every P with H(P) > h has H(phi(P)) > H(P), so an orbit
-    that passes h never repeats, and every preperiodic point lies at or
-    below h.
+    With d = deg phi, one resultant_cofactors call gives R = Res(F, G),
+    which must equal phi.res, and first and last the integer forms of degree
+    d - 1 with A_X*F + B_X*G = R*X^(2d-1) and A_Y*F + B_Y*G = R*Y^(2d-1).
+    Let K be the larger of their coefficient 1-norm sums.  For coprime
+    (x, y) of height H, gcd(F(x, y), G(x, y)) divides R, so
+    H(phi(P)) >= H^d / K (Call and Silverman 1993; Silverman, The
+    Arithmetic of Dynamical Systems, Prop. 2.13 and Thm. 3.11).  The result
+    is the largest h with h^(d-1) <= K: every P with H(P) > h has
+    H(phi(P)) > H(P), so an orbit that passes h never repeats, and every
+    preperiodic point lies at or below h.
     """
-    d = phi.degree
-    K = 0
-    for k in (0, 2 * d - 1):
-        A, B = resultant_cofactors(phi.F, phi.G, k)
-        K = max(K, sum(abs(c) for c in A.coeffs + B.coeffs))
-    return integer_root(K, d - 1)
+    res, pairs = resultant_cofactors(phi.F, phi.G)
+    if res != phi.res:
+        raise InvariantViolation(f"the Sylvester determinant is {res}, but phi.res is {phi.res}")
+    K = max(sum(abs(c) for c in A.coeffs + B.coeffs) for A, B in (pairs[0], pairs[-1]))
+    return integer_root(K, phi.degree - 1)
 
 
 def _valuation(n: int, p: int) -> int:

@@ -274,31 +274,37 @@ def iterate_pairs(F: BinaryForm, G: BinaryForm, n: int) -> Iterator[tuple[Binary
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_det(M: list[list[int]]) -> int:
-    """Fraction-free determinant, destroying M."""
-    n = len(M)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            for i in range(k + 1, n):
-                if M[i][k] != 0:
-                    M[k], M[i] = M[i], M[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = M[k][k]
-        for i in range(k + 1, n):
-            row_i, row_k = M[i], M[k]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - head * row_k[j]) // prev
-            row_i[k] = 0
+def _bareiss(M: Sequence[Sequence[int]], columns: Sequence = ()) -> tuple[int, list[list[int]]]:
+    """det M, and adj(M)*c for each column c, from one fraction-free elimination.
+
+    Bareiss (Math. Comp. 1968): step k sets row_i = (pivot*row_i -
+    row_i[k]*row_k) / prev, so every entry stays a minor of [M | columns]
+    and each division is exact; a row swap flips the sign.  With columns
+    this is Gauss-Jordan, which clears the rows above each pivot too and
+    ends at det*I beside adj(M)*c; a determinant needs only the rows below.
+    A singular M gives (0, []).
+
+    >>> _bareiss([[2, 1], [1, 3]], [[1, 0], [0, 1]])
+    (5, [[3, -1], [-1, 2]])
+    """
+    n, width = len(M), len(M) + len(columns)
+    rows = [[*row, *extra] for row, extra in zip_longest(M, zip(*columns), fillvalue=())]
+    sign = prev = 1
+    for k in range(n):
+        if not rows[k][k]:
+            p = next((i for i in range(k + 1, n) if rows[i][k]), None)
+            if p is None:
+                return 0, []
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        row_k = rows[k]
+        pivot = row_k[k]
+        for row in rows[:k] + rows[k + 1 :] if columns else rows[k + 1 :]:
+            head = row[k]
+            for j in range(k + 1, width):
+                row[j] = (row[j] * pivot - head * row_k[j]) // prev
         prev = pivot
-    return sign * M[n - 1][n - 1]
+    return sign * prev, [[sign * row[j] for row in rows] for j in range(n, width)]
 
 
 def _sylvester(F: BinaryForm, G: BinaryForm) -> list[list[int]]:
@@ -308,49 +314,38 @@ def _sylvester(F: BinaryForm, G: BinaryForm) -> list[list[int]]:
     n = deg G (formal degrees).
     """
     m, n = F.degree, G.degree
-    size = m + n
-    rows: list[list[int]] = []
     f, g = list(F.coeffs), list(G.coeffs)
-    for i in range(n):
-        rows.append([0] * i + f + [0] * (n - 1 - i))
-    for j in range(m):
-        rows.append([0] * j + g + [0] * (m - 1 - j))
-    if any(len(r) != size for r in rows):
-        raise InvariantViolation("Sylvester matrix is not square")
-    return rows
+    return [[0] * i + h + [0] * (k - 1 - i) for h, k in ((f, n), (g, m)) for i in range(k)]
 
 
 def resultant(F: BinaryForm, G: BinaryForm) -> int:
-    """Resultant of two forms via the Sylvester determinant.
+    """Resultant of two forms: the determinant of their Sylvester matrix.
 
     Formal degrees are used, so common roots at infinity (both leading
-    coefficients zero) correctly give 0.
+    coefficients zero) correctly give 0; two constants give the empty
+    determinant 1.
     """
-    if F.degree == 0 and G.degree == 0:
-        return 1
-    return _bareiss_det(_sylvester(F, G))
+    return _bareiss(_sylvester(F, G))[0]
 
 
-def resultant_cofactors(F: BinaryForm, G: BinaryForm, k: int) -> tuple[BinaryForm, BinaryForm]:
-    """Integer forms A, B of degrees n - 1, m - 1 with
-    A*F + B*G = Res(F, G) * X^(m+n-1-k) * Y^k, for m = deg F, n = deg G.
+def resultant_cofactors(
+    F: BinaryForm, G: BinaryForm
+) -> tuple[int, list[tuple[BinaryForm, BinaryForm]]]:
+    """Res(F, G), and for each k < m + n the integer forms (A_k, B_k) of
+    degrees n - 1, m - 1 with A_k*F + B_k*G = Res(F, G) * X^(m+n-1-k) * Y^k,
+    for m = deg F and n = deg G.
 
-    The coefficient vector c of (A, B) solves c*S = Res(F, G)*e_k for the
-    Sylvester matrix S, so by Cramer's rule on S^T each c_i is the
-    determinant of S with row i replaced by the unit vector e_k: integers
-    throughout, with no division.
+    The coefficients c_k of (A_k, B_k) solve c_k*S = Res(F, G)*e_k for the
+    Sylvester matrix S, so c_k = adj(S^T)*e_k: one elimination of S^T beside
+    the identity gives Res and every pair.  A zero resultant raises ValueError.
     """
-    rows = _sylvester(F, G)
-    size = len(rows)
-    unit = [0] * size
-    unit[k] = 1
-    c = []
-    for i in range(size):
-        M = [list(r) for r in rows]
-        M[i] = list(unit)
-        c.append(_bareiss_det(M))
+    S = _sylvester(F, G)
+    identity = [[int(i == j) for i in range(len(S))] for j in range(len(S))]
+    res, adj = _bareiss(list(zip(*S)), identity)
+    if res == 0:
+        raise ValueError("zero resultant: F and G have a common root")
     n = G.degree
-    return BinaryForm(tuple(c[:n])), BinaryForm(tuple(c[n:]))
+    return res, [(BinaryForm(tuple(c[:n])), BinaryForm(tuple(c[n:]))) for c in adj]
 
 
 # ---------------------------------------------------------------------------
@@ -531,12 +526,10 @@ def _residue_screen(core: tuple[int, ...]) -> list[tuple[int, frozenset[int]]]:
 
 def _default_factor_budget(n: int) -> dict:
     # factor's default budget finds factors of up to about 55 bits.  On
-    # gigantic inputs each rho step and each curve is also expensive, so the
-    # budget shrinks with size, to one rho attempt and six curves at the
-    # first stage-1 bound, and the completeness flag carries the consequence
-    if abs(n).bit_length() <= 1500:
-        return {}
-    return {"rho_steps": 30_000, "curves": 6}
+    # gigantic inputs each curve is also expensive, so the budget shrinks
+    # with size, to six curves at the first stage-1 bound, and the
+    # completeness flag carries the consequence
+    return {} if abs(n).bit_length() <= 1500 else {"curves": 6}
 
 
 def _screened_candidates(

@@ -291,13 +291,11 @@ def _perfect_root(n: int) -> Optional[tuple[int, int]]:
 # ones slower.
 _TRIAL_BOUND = 1000
 
+# Steps of the one Brent rho attempt; a composite it leaves goes to ECM.
+_RHO_STEPS = 20_000
 
-def factor(
-    n: int,
-    *,
-    rho_steps: int = 20_000,
-    curves: int = 120,
-) -> FactorResult:
+
+def factor(n: int, *, curves: int = 120) -> FactorResult:
     """Factor |n| with a bounded effort budget.
 
     Stages, each on what the one before left:
@@ -305,7 +303,7 @@ def factor(
       proves a remainder below its square prime;
     - is_prime (deterministic below 3.3e24) settles a prime remainder, and
       a perfect power splits into its root;
-    - one Brent-cycle Pollard rho attempt of at most rho_steps steps, which
+    - one Brent-cycle Pollard rho attempt of at most _RHO_STEPS steps, which
       splits off factors up to about 30 bits;
     - Lenstra's elliptic-curve method (Lenstra, "Factoring integers with
       elliptic curves", Ann. Math. 1987) on a composite rho leaves:
@@ -368,7 +366,7 @@ def factor(
             continue
         # seed m + 23 keeps the walk rho took first when it had 24 attempts,
         # so every composite it split at once still splits in the same steps
-        g = _brent_rho(m, seed=m + 23, max_steps=rho_steps)
+        g = _brent_rho(m, seed=m + 23, max_steps=_RHO_STEPS)
         i = 0
         while g == 1 and curves_left > 0:
             sigma = random.Random(m + i).randrange(6, m - 1)

@@ -2,10 +2,12 @@
 
 import math
 import random
+import tracemalloc
 from decimal import Decimal
 
 import pytest
 
+from preper import certify
 from preper.certify import (
     BoundCheckItem,
     check_bounds,
@@ -269,6 +271,24 @@ def test_bounds_reject_bad_input():
         evaluate_bounds(0, 2)
     with pytest.raises(ValueError):
         evaluate_bounds(1, 1)
+
+
+def test_bounds_refuse_sizes_they_cannot_print():
+    # 2^(16*s*d^3) at s = 2, d = 1000 would have 3.2e10 bits; the refusal
+    # comes before any of it is allocated.  The largest size in use, s = 5
+    # at d = 8, and s = 2 at d = 20 stay within the limit
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            evaluate_bounds(2, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert 16 * 2 * 20**3 <= certify._MAX_BOUND_EXPONENT < 16 * 2 * 21**3
+    assert evaluate_bounds(5, 8).per_bound_degree == 2**40960 + 3
+    with pytest.raises(ValueError):
+        evaluate_bounds(2, 21)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -500,6 +501,16 @@ def test_bounds_json_prints_integers_past_the_str_digit_cap(capsys):
     finally:
         if cap:
             sys.set_int_max_str_digits(cap)
+
+
+def test_bounds_refuse_a_size_they_cannot_print(capsys):
+    # the formulas at s = 2, d = 40 are multiples of 2^2048000, which took
+    # 20 s to print in decimal; refused, the call exits 2 at once
+    start = time.perf_counter()
+    assert main(["bounds", "--s", "2", "--d", "40", "--format", "json"]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "2^2048000" in captured.err
 
 
 def test_certify_family(capsys):

@@ -21,6 +21,7 @@ from preper.dynmap import (
     preimages,
     preperiodic_height_bound,
 )
+from preper.families import FamilySpec, generate
 from preper.forms import (
     BinaryForm,
     RootResult,
@@ -284,12 +285,8 @@ def _random_maps(rng, count):
 
 
 def _escape_constant(phi):
-    d = phi.degree
-    norms = []
-    for k in (0, 2 * d - 1):
-        A, B = resultant_cofactors(phi.F, phi.G, k)
-        norms.append(sum(abs(c) for c in A.coeffs + B.coeffs))
-    return max(norms)
+    _, pairs = resultant_cofactors(phi.F, phi.G)
+    return max(sum(abs(c) for c in A.coeffs + B.coeffs) for A, B in (pairs[0], pairs[-1]))
 
 
 def _random_point_of_height(rng, H):
@@ -318,6 +315,74 @@ def test_escape_height_is_the_root_of_the_cofactor_norm():
         h, K, e = escape_height(phi), _escape_constant(phi), phi.degree - 1
         assert h >= 1
         assert h**e <= K < (h + 1) ** e
+
+
+# (res, escape_height, preperiodic_height_bound), recorded before the
+# resultant and its cofactors came from one elimination
+PINNED_FAMILY_BOUNDS = {
+    ("ex51", 1): (64, 47, 47),
+    ("ex51", 2): (1073741824, 1483, 1483),
+    ("ex51", 3): (19342813113834066795298816, 226468, 226468),
+    ("ex52", 2): (4, 15, 15),
+    ("ex52", 3): (512, 50, 50),
+    ("ex52", 4): (16777216, 467, 467),
+    ("ex52", 5): (1125899906842624, 9427, 9427),
+    ("ex52", 6): (1237940039285380274899124224, 393286, 393286),
+    ("ex52", 7): (178405961588244985132285746181186892047843328, 33498400, 33498400),
+    ("ex52", 8): (
+        26959946667150639794667015087019630673637144422540572481103610249216,
+        5789439390,
+        5789439390,
+    ),
+}
+PINNED_MAP_BOUNDS = [
+    # the generic-roots maps of the benchmark, and the cubic
+    # (2z^3 - 7z + 5)/(3z^2 + 11)
+    (([-9, 18, 3], [15, 3, -4]), (-23976, 13311, 13311)),
+    (([0, -15, 7], [7, -6, -17]), (-28784, 13855, 13855)),
+    (([-18, 3, 19], [-2, -18, 3]), (-115574, 15349, 15349)),
+    (([3, 1, -14], [6, -11, -17]), (-5580, 8034, 8034)),
+    (([-14, 17, 10], [-14, -13, 15]), (-156800, 24360, 24360)),
+    (([7, 2, 9], [0, 6, -12]), (10332, 3714, 3714)),
+    (([5, -7, 0, 2], [11, 0, 3]), (42028, 326, 326)),
+    # polynomials: z^2 - 29/16, z^2 - 3/4, z^2 + 1/4, z^3 - z^2 - 9z + 2,
+    # 3z^3 - 9/4
+    (([Fraction(-29, 16), 0, 1], [1]), (65536, 11520, 11)),
+    (([Fraction(-3, 4), 0, 1], [1]), (256, 112, 3)),
+    (([Fraction(1, 4), 0, 1], [1]), (256, 80, 2)),
+    (([2, -9, -1, 1], [1]), (1, 11, 11)),
+    (([Fraction(-9, 4), 0, 0, 3], [1]), (110592, 173, 1)),
+    # seeded rational quadratics, random.Random(2201), coefficients in [-9, 9]
+    (([-4, 4, -5], [-4, 4, -8]), (144, 216, 216)),
+    (([-6, 7, 6], [-1, 4, 6]), (1206, 774, 774)),
+    (([4, 6, -3], [-7, 2, 0]), (141, 981, 981)),
+    (([-3, -4, 3], [-1, 5, -2]), (-52, 265, 265)),
+    (([-9, -8, -1], [4, 2, -5]), (1813, 868, 868)),
+    (([6, 1, 2], [-1, 7, 6]), (1788, 825, 825)),
+    (([3, -9, 6], [0, -1, 3]), (18, 330, 330)),
+    (([-2, 2, 5], [-1, -8, 1]), (-747, 660, 660)),
+    (([0, 5, 2], [5, 1, 2]), (300, 275, 275)),
+    (([7, -2, 3], [-6, -6, 8]), (5584, 1880, 1880)),
+    (([-2, 7, 3], [6, 2, 8]), (3456, 1374, 1374)),
+    (([6, 4, 5], [7, 9, 8]), (507, 507, 507)),
+]
+
+
+def test_resultant_and_bounds_pinned():
+    maps = [(generate(FamilySpec(*spec)), want) for spec, want in PINNED_FAMILY_BOUNDS.items()]
+    maps += [(build_map(num, den), want) for (num, den), want in PINNED_MAP_BOUNDS]
+    for phi, want in maps:
+        got = (resultant(phi.F, phi.G), escape_height(phi), preperiodic_height_bound(phi))
+        assert got == want, phi
+        assert phi.res == want[0]
+
+
+def test_escape_height_checks_the_map_resultant():
+    # the elimination that gives the cofactors also gives Res(F, G), and a
+    # map carrying another resultant is a bug
+    phi = example_d2()
+    with pytest.raises(InvariantViolation):
+        escape_height(dataclasses.replace(phi, res=phi.res + 1))
 
 
 def test_points_above_escape_height_climb():

@@ -11,12 +11,13 @@ from fractions import Fraction
 
 import pytest
 
-from preper import forms
+from preper import forms, qarith
 from preper.forms import (
     _KARATSUBA_CUTOFF,
     _SCREEN_PRIME_COUNT,
     _SCREEN_PRIME_MIN,
     BinaryForm,
+    _bareiss,
     _residue_screen,
     _strip_monomials,
     InexactDivisionError,
@@ -57,6 +58,20 @@ def det_fraction_gauss(rows):
                 for j in range(k, n):
                     m[i][j] -= factor * m[k][j]
     return det
+
+
+def solve_fraction(rows, rhs):
+    """x with rows * x = rhs, for a nonsingular matrix, over Fraction."""
+    m = [[Fraction(x) for x in row] + [Fraction(r)] for row, r in zip(rows, rhs)]
+    n = len(m)
+    for k in range(n):
+        pivot_row = next(i for i in range(k, n) if m[i][k] != 0)
+        m[k], m[pivot_row] = m[pivot_row], m[k]
+        for i in range(n):
+            if i != k and m[i][k]:
+                factor = m[i][k] / m[k][k]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[k])]
+    return [m[i][n] / m[i][i] for i in range(n)]
 
 
 def sylvester_rows(F: BinaryForm, G: BinaryForm):
@@ -361,24 +376,70 @@ def test_resultant_multiplicativity():
 
 
 def test_resultant_cofactors_identities():
-    # A*F + B*G = Res(F, G) * X^(2d-1-k) * Y^k exactly, for every monomial
-    # index k, on random map coordinates of degree 2..5
+    # A_k*F + B_k*G = Res(F, G) * X^(2d-1-k) * Y^k exactly, for every
+    # monomial index k, on random map coordinates of degree 2..8.  A third
+    # of the maps are polynomials, G = c*Y^d, whose Sylvester rows start
+    # with zeros, and a third have F(1, 0) = 0
     rng = random.Random(4242)
     checked = 0
-    while checked < 40:
-        d = 2 + checked % 4
-        F = BinaryForm(tuple(rng.randrange(-9, 10) for _ in range(d + 1)))
-        G = BinaryForm(tuple(rng.randrange(-9, 10) for _ in range(d + 1)))
+    while checked < 63:
+        d, kind = 2 + checked % 7, checked // 7 % 3
+        F = [rng.randrange(-9, 10) for _ in range(d + 1)]
+        G = [rng.randrange(-9, 10) for _ in range(d + 1)]
+        if kind == 1:
+            G = [0] * d + [rng.choice((-3, 1, 2, 5))]
+        elif kind == 2:
+            F[0] = 0
+        F, G = BinaryForm(tuple(F)), BinaryForm(tuple(G))
         R = resultant(F, G)
         if R == 0:
             continue
         checked += 1
-        for k in range(2 * d):
-            A, B = resultant_cofactors(F, G, k)
+        res, pairs = resultant_cofactors(F, G)
+        assert res == R and len(pairs) == 2 * d
+        for k, (A, B) in enumerate(pairs):
             assert A.degree == d - 1 and B.degree == d - 1
             monomial = [0] * (2 * d)
             monomial[k] = R
             assert A * F + B * G == BinaryForm(tuple(monomial))
+
+
+def test_resultant_cofactors_refuse_a_zero_resultant():
+    # X*(X - Y) and X*Y share the root [0:1]; F(1, 0) = G(1, 0) = 0 share [1:0]
+    for F, G in (
+        (BinaryForm((1, -1, 0)), BinaryForm((0, 1, 0))),
+        (BinaryForm((0, 1, 2)), BinaryForm((0, 0, 3))),
+    ):
+        assert resultant(F, G) == 0
+        with pytest.raises(ValueError):
+            resultant_cofactors(F, G)
+
+
+def test_empty_determinant_is_one():
+    assert _bareiss([]) == (1, [])
+    assert resultant(BinaryForm((5,)), BinaryForm((-3,))) == 1
+    assert resultant_cofactors(BinaryForm((5,)), BinaryForm((-3,))) == (1, [])
+
+
+def test_bareiss_against_fraction_oracle():
+    # det M, and adj(M)*c = det(M) * M^-1 * c, on sparse random matrices whose
+    # zero pivots force row swaps; singular ones give (0, [])
+    rng = random.Random(1968)
+    singular = 0
+    for _ in range(300):
+        n = rng.randrange(1, 7)
+        M = [[rng.choice((0, rng.randrange(-5, 6))) for _ in range(n)] for _ in range(n)]
+        columns = [[rng.randrange(-5, 6) for _ in range(n)] for _ in range(2)]
+        det = det_fraction_gauss(M)
+        got_det, got_columns = _bareiss(M, columns)
+        assert got_det == det == _bareiss(M)[0]
+        if det == 0:
+            assert got_columns == []
+            singular += 1
+            continue
+        want = [[det * x for x in solve_fraction(M, c)] for c in columns]
+        assert got_columns == want
+    assert 30 < singular < 200
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +532,13 @@ def test_rational_roots_against_brute_scan():
 
 
 HARD_SEMIPRIME = (2**127 - 1) * (2**89 - 1)
-STARVED_BUDGET = {"rho_steps": 10, "curves": 1}
+STARVED_BUDGET = {"curves": 1}
 
 
 @pytest.fixture
 def starved_budget(monkeypatch):
+    # ten rho steps and one curve
+    monkeypatch.setattr(qarith, "_RHO_STEPS", 10)
     monkeypatch.setattr(forms, "_default_factor_budget", lambda n: STARVED_BUDGET)
 
 

@@ -258,15 +258,21 @@ def test_stray_image_factor_raises_in_apply_and_the_oracle(monkeypatch):
     phi = dataclasses.replace(z2_half, res=1)
     with pytest.raises(InvariantViolation, match="gcd 2, which does not divide"):
         apply(phi, ProjPoint(2, 1))
+    # the oracle's height bound eliminates the Sylvester matrix, whose
+    # determinant 4 already refuses the recorded res.  Tampered pairs get
+    # the untampered map's bound from here on, so the pair iteration's own
+    # check is what refuses them
+    with pytest.raises(InvariantViolation, match="Sylvester determinant is 4, but phi.res is 1"):
+        brute_force_preperiodic(phi, 5)
+    monkeypatch.setattr(portrait, "preperiodic_height_bound", lambda _: preperiodic_height_bound(z2_half))
     with pytest.raises(InvariantViolation, match="gcd 2, which does not divide"):
         brute_force_preperiodic(phi, 5)
-    # G replaced by F: a common root at [0 : 1], where the gcd is 0.  The
-    # tampered pair has no height bound of its own, so the oracle gets the
-    # untampered map's; scanned to height 1, every other pair has gcd 1
+    # G replaced by F: a common root at [0 : 1], where the gcd is 0, and a
+    # pair with no height bound of its own; scanned to height 1, every other
+    # pair has gcd 1
     phi = dataclasses.replace(z2_half, G=z2_half.F)
     with pytest.raises(InvariantViolation, match="at 0 has gcd 0"):
         apply(phi, ProjPoint(0, 1))
-    monkeypatch.setattr(portrait, "preperiodic_height_bound", lambda _: preperiodic_height_bound(z2_half))
     with pytest.raises(InvariantViolation, match="at 0 has gcd 0"):
         brute_force_preperiodic(phi, 1)
 

@@ -105,12 +105,15 @@ def test_factor_splits_semiprime_beyond_trial_bound():
     assert res.complete
 
 
-def test_factor_splits_perfect_powers_without_rho():
+def test_factor_splits_perfect_powers_without_rho(monkeypatch):
     # prime powers beyond the trial bound: the perfect-power branch alone
-    # splits them, so a zero budget still factors them completely
-    for p, e in ((10**9 + 7, 5), (2**61 - 1, 2)):
-        for kwargs in ({}, {"rho_steps": 0, "curves": 0}):
-            res = factor(p**e, **kwargs)
+    # splits them, so with no rho step and no curve they still factor
+    # completely
+    cases = ((10**9 + 7, 5), (2**61 - 1, 2))
+    for steps, budget in ((qarith._RHO_STEPS, {}), (0, {"curves": 0})):
+        monkeypatch.setattr(qarith, "_RHO_STEPS", steps)
+        for p, e in cases:
+            res = factor(p**e, **budget)
             assert res.factors == ((p, e),)
             assert res.complete
 
@@ -122,11 +125,12 @@ def _next_prime(n: int) -> int:
     return n
 
 
-def test_factor_budget_surfaces_cofactor():
+def test_factor_budget_surfaces_cofactor(monkeypatch):
     # two ~130-bit primes: a starved budget must give up loudly
     p = _next_prime(2**129)
     q = _next_prime(p)
-    res = factor(p * q, rho_steps=50, curves=2)
+    monkeypatch.setattr(qarith, "_RHO_STEPS", 50)
+    res = factor(p * q, curves=2)
     assert not res.complete
     assert res.cofactor == p * q
     assert math.prod(f**e for f, e in res.factors) * res.cofactor == p * q
@@ -192,7 +196,7 @@ def test_factor_returns_planted_factorizations():
     assert powers > 30 and past_deterministic > 30
 
 
-def test_factor_curves_count_only_failures():
+def test_factor_curves_count_only_failures(monkeypatch):
     # no split uses up the budget.  Rho splits the small primes with no
     # curve at all.  With rho off, curves split primes of 30-34 bits, and
     # a budget of one more curve than failed, for the split that follows
@@ -211,11 +215,12 @@ def test_factor_curves_count_only_failures():
         outcomes.append(g != 1)
         return g
 
+    monkeypatch.setattr(qarith, "_RHO_STEPS", 0)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(qarith, "_ecm_curve", recording_curve)
-        res = factor(math.prod(primes), rho_steps=0)
+        res = factor(math.prod(primes))
     assert res.complete and outcomes.count(True) >= 3
-    res = factor(math.prod(primes), rho_steps=0, curves=outcomes.count(False) + 1)
+    res = factor(math.prod(primes), curves=outcomes.count(False) + 1)
     assert res.complete
     assert res.factors == tuple((p, 1) for p in primes)
 
@@ -224,7 +229,7 @@ def test_factor_curves_do_not_depend_on_earlier_splits(monkeypatch):
     # R is out of reach of this budget; the dozen small primes next to it
     # split first and leave R the rho seed and the curves it gets alone
     R = (2**61 - 1) * (2**89 - 1)
-    budget = {"rho_steps": 20_000, "curves": 2}
+    budget = {"curves": 2}
     bound = qarith._TRIAL_BOUND
     primes = _primes_between(random.Random(1516), bound, 10 * bound, 12)
     calls: list[tuple] = []

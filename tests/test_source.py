@@ -31,6 +31,47 @@ def test_public_names_resolve():
     assert set(preper.__all__) <= set(namespace)
 
 
+def _unbounded_caches(tree):
+    """Lines of functools.cache, and of lru_cache with no maxsize or maxsize None."""
+    calls = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            yield from (node.lineno for alias in node.names if alias.name == "cache")
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                yield node.lineno
+        elif getattr(node, "id", getattr(node, "attr", None)) == "lru_cache":
+            call = calls.get(id(node))
+            sizes = [] if call is None else call.args[:1] + [
+                k.value for k in call.keywords if k.arg == "maxsize"
+            ]
+            if not sizes or any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                yield node.lineno
+
+
+def test_caches_are_bounded():
+    # memory stays bounded in a long-lived process: every lru_cache passes a
+    # maxsize that is not None, and functools.cache, which has none, is unused
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _unbounded_caches(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+    flagged = (
+        "@lru_cache\ndef f(): pass",
+        "@lru_cache()\ndef f(): pass",
+        "@lru_cache(None)\ndef f(): pass",
+        "@functools.lru_cache(maxsize=None)\ndef f(): pass",
+        "@functools.cache\ndef f(): pass",
+        "from functools import cache",
+    )
+    for source in flagged:
+        assert list(_unbounded_caches(ast.parse(source))) != [], source
+    bounded = "@lru_cache(maxsize=64)\ndef f(): pass\n@functools.lru_cache(8)\ndef g(): pass"
+    assert list(_unbounded_caches(ast.parse(bounded))) == []
+
+
 def _imported_names(tree):
     """(bound name, line) for every import except __future__ ones."""
     for node in ast.walk(tree):
