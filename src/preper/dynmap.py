@@ -5,6 +5,10 @@ nonzero resultant.  The primes dividing the resultant are exactly the primes
 of bad reduction; they are factored under a budget at construction time, and
 any unfactored composite part of the resultant is carried around explicitly
 so no downstream claim silently depends on a completed factorization.
+
+Every map step goes through one kernel, image_row, which takes the images of
+a row of points [x : y] that share y: image_pair is its one-element row,
+apply wraps image_pair, and the brute-force oracle steps a whole row per call.
 """
 
 from __future__ import annotations
@@ -80,12 +84,13 @@ def build_map(num: Sequence[Rat], den: Sequence[Rat]) -> RationalMap:
     return RationalMap(F=F, G=G, res=res, bad_primes=bad, res_cofactor=fr.cofactor)
 
 
-def image_pair(phi: RationalMap, x: int, y: int) -> tuple[int, int]:
-    """The coordinates of phi([x : y]) for coprime x, y, in ProjPoint's normal form.
+def image_row(phi: RationalMap, y: int, xs: Sequence[int]) -> list[tuple[int, int]]:
+    """The coordinates of phi([x : y]) for each x in xs, in ProjPoint's normal form.
 
-    F and G are evaluated in one Horner pass in x with a shared running
-    power of y.  For coprime (x, y), gcd(F(x, y), G(x, y)) divides
-    Res(F, G): the cofactor identities A*F + B*G = Res*X^(2d-1) and
+    Each x must be coprime to y.  F's and G's coefficients are scaled by
+    the powers of y once for the row, and then F(x, y) and G(x, y) take one
+    Horner pass in x each.  For coprime (x, y), gcd(F(x, y), G(x, y))
+    divides Res(F, G): the cofactor identities A*F + B*G = Res*X^(2d-1) and
     Res*Y^(2d-1) (Silverman, The Arithmetic of Dynamical Systems,
     Prop. 2.13) make it divide Res*x^(2d-1) and Res*y^(2d-1).  So the gcd
     lives on the bad primes, and a gcd of 0 (a common root) or one that
@@ -93,29 +98,41 @@ def image_pair(phi: RationalMap, x: int, y: int) -> tuple[int, int]:
     divided out and the sign fixed so that y' > 0, or [1 : 0] at infinity.
     """
     f, g = phi.F.coeffs, phi.G.coeffs
-    fx, gx = f[0], g[0]
+    f0, g0, res = f[0], g[0], phi.res
+    scaled = []
     ypow = 1
-    for a, b in zip(f[1:], g[1:]):
+    for i in range(1, len(f)):  # indexed, not zipped slices: keeps a one-element row cheap
         ypow *= y
-        fx = fx * x + a * ypow
-        gx = gx * x + b * ypow
-    c = math.gcd(fx, gx)
-    if c != 1:
-        if c == 0 or phi.res % c:  # an implementation bug, never a property of the map
-            raise InvariantViolation(
-                f"image pair at {ProjPoint(x, y)} has gcd {c}, which does not divide Res(F, G)"
-            )
-        fx, gx = fx // c, gx // c
-    if gx < 0 or (gx == 0 and fx < 0):
-        fx, gx = -fx, -gx
-    return fx, gx
+        scaled.append((f[i] * ypow, g[i] * ypow))
+    images = []
+    for x in xs:
+        fx, gx = f0, g0
+        for a, b in scaled:
+            fx = fx * x + a
+            gx = gx * x + b
+        c = math.gcd(fx, gx)
+        if c != 1:
+            if c == 0 or res % c:  # an implementation bug, never a property of the map
+                raise InvariantViolation(
+                    f"image pair at {ProjPoint(x, y)} has gcd {c}, which does not divide Res(F, G)"
+                )
+            fx, gx = fx // c, gx // c
+        if gx < 0 or (gx == 0 and fx < 0):
+            fx, gx = -fx, -gx
+        images.append((fx, gx))
+    return images
+
+
+def image_pair(phi: RationalMap, x: int, y: int) -> tuple[int, int]:
+    """The coordinates of phi([x : y]) for coprime x, y: the one-element image_row."""
+    return image_row(phi, y, (x,))[0]
 
 
 def apply(phi: RationalMap, P: ProjPoint) -> ProjPoint:
     """phi(P), checked on the way: gcd(F(P), G(P)) divides Res(F, G).
 
-    The arithmetic and the check are image_pair's, the one map-step kernel
-    that the brute-force oracle also iterates.
+    The arithmetic and the check are image_row's, the one map-step kernel,
+    which the brute-force oracle steps a whole row of points at a time.
     """
     return ProjPoint(*image_pair(phi, P.x, P.y))
 

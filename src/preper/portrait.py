@@ -15,10 +15,11 @@ preperiodic height bound (`dynmap.preperiodic_height_bound`: the
 Call-Silverman escape height, or for a polynomial the smaller bound its
 places give), so an orbit that passes it wanders, and no point above it is
 ever enumerated or iterated further. The scan walks bare coordinate pairs
-and steps them through `dynmap.image_pair`, the one map-step kernel, which
-checks that gcd(F, G) divides Res(F, G). Nearly every scanned point leaves
-the bound in one step; such a point is settled by that one step, with no
-verdict or path kept, and only the points returned are made into ProjPoints.
+a row (one y) at a time and steps each row through `dynmap.image_row`, the
+one map-step kernel, which checks that gcd(F, G) divides Res(F, G) at every
+pair. Nearly every scanned point leaves the bound in one step; such a point
+is settled by that one step, with no verdict or path kept, and only the
+points returned are made into ProjPoints.
 """
 
 import math
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .dynatomic import PeriodicPoint, rational_periodic_points
-from .dynmap import RationalMap, image_pair, preimages, preperiodic_height_bound
+from .dynmap import RationalMap, image_pair, image_row, preimages, preperiodic_height_bound
 from .qarith import ProjPoint
 
 MAX_PORTRAIT_POINTS = 10**5
@@ -180,21 +181,25 @@ def classify(portrait: Portrait) -> PortraitCounts:
     )
 
 
-def _coprime_pairs_up_to(height_bound: int) -> Iterator[tuple[int, int]]:
-    """The normal-form pairs of rational_points_up_to, in its order: (1, 0) first."""
+def _coprime_rows(height_bound: int) -> Iterator[tuple[int, list[int]]]:
+    """The normal-form pairs of rational_points_up_to by rows (y, xs), in its order.
+
+    The row y = 0 holds infinity alone; each row y >= 1 holds the x in
+    [-height_bound, height_bound] coprime to y.
+    """
     if height_bound < 1:
         raise ValueError("height bound must be at least 1")
-    yield 1, 0
+    yield 0, [1]
     for y in range(1, height_bound + 1):
-        for x in range(-height_bound, height_bound + 1):
-            if math.gcd(x, y) == 1:  # a non-coprime pair repeats a point already listed
-                yield x, y
+        # a non-coprime pair repeats a point already listed
+        yield y, [x for x in range(-height_bound, height_bound + 1) if math.gcd(x, y) == 1]
 
 
 def rational_points_up_to(height_bound: int) -> Iterator[ProjPoint]:
     """All points [x : y] with max(|x|, |y|) <= height_bound, plus infinity."""
-    for x, y in _coprime_pairs_up_to(height_bound):
-        yield ProjPoint(x, y)
+    for y, xs in _coprime_rows(height_bound):
+        for x in xs:
+            yield ProjPoint(x, y)
 
 
 def brute_force_preperiodic(phi: RationalMap, height_bound: int) -> frozenset[ProjPoint]:
@@ -208,21 +213,23 @@ def brute_force_preperiodic(phi: RationalMap, height_bound: int) -> frozenset[Pr
     there: only points up to min(height_bound, preperiodic_height_bound(phi))
     are enumerated, and an orbit that passes the bound settles as wandering.
 
-    The scan walks the bare coordinate pairs of rational_points_up_to and
-    steps them with dynmap.image_pair, the one map-step kernel, so every
+    The scan walks the rows of bare coordinate pairs of
+    rational_points_up_to and steps each row's pairs that have no verdict
+    yet with one dynmap.image_row call, the one map-step kernel, so every
     step checks that gcd(F, G) divides Res(F, G). Most points leave in one
-    step: a scanned pair with no verdict is stepped once, and if that image
-    is above the bound the pair wanders with no bookkeeping at all; no
-    verdict is kept, and an orbit that reaches it later steps it again.
-    Otherwise its orbit is followed on from that image, and every pair on
-    the path gets the verdict. Each step is followed by one height test, so
-    no pair above the bound is ever stepped. ProjPoints are made only for
-    the points returned.
+    step: a pair whose image is above the bound wanders with no bookkeeping
+    at all; no verdict is kept, and an orbit that reaches it from a later
+    row steps it again. Otherwise its orbit is followed on from that image,
+    and every pair on the path gets the verdict; a pair of the current row
+    on the path takes its image from the row's results. Each step is
+    followed by one height test, so no pair above the bound is ever
+    stepped. ProjPoints are made only for the points returned.
     """
     cutoff = preperiodic_height_bound(phi)
+    bound = min(height_bound, cutoff)
     verdict: dict[tuple[int, int], bool] = {}
 
-    def settle(path: set[tuple[int, int]], x: int, y: int) -> bool:
+    def settle(path: set[tuple[int, int]], x: int, y: int) -> None:
         # (x, y) is at or below the cutoff: the image of the pair
         # last added to path
         while True:
@@ -234,20 +241,33 @@ def brute_force_preperiodic(phi: RationalMap, height_bound: int) -> frozenset[Pr
                 v = True  # the orbit looped, so the whole path is preperiodic
                 break
             path.add(key)
-            x, y = image_pair(phi, x, y)
-            if abs(x) > cutoff or y > cutoff:  # y >= 0 in normal form
-                v = False
-                break
+            if y == row_y and abs(x) <= bound:
+                # a pair of the current row with no verdict, so stepped with
+                # the row: its image is in row unless it escaped
+                image = row.get(x)
+                if image is None:
+                    v = False
+                    break
+                x, y = image
+            else:
+                x, y = image_pair(phi, x, y)
+                if abs(x) > cutoff or y > cutoff:  # y >= 0 in normal form
+                    v = False
+                    break
         for key in path:
             verdict[key] = v
-        return v
 
-    found = []
-    for x, y in _coprime_pairs_up_to(min(height_bound, cutoff)):
-        v = verdict.get((x, y))
-        if v is None:
-            fx, fy = image_pair(phi, x, y)
-            v = abs(fx) <= cutoff and fy <= cutoff and settle({(x, y)}, fx, fy)
-        if v:
-            found.append(ProjPoint(x, y))
-    return frozenset(found)
+    for row_y, xs in _coprime_rows(bound):
+        todo = [x for x in xs if (x, row_y) not in verdict]
+        # the images at or below the cutoff, by x
+        row = {
+            x: (fx, fy)
+            for x, (fx, fy) in zip(todo, image_row(phi, row_y, todo))
+            if abs(fx) <= cutoff and fy <= cutoff
+        }
+        for x, (fx, fy) in row.items():
+            if (x, row_y) not in verdict:
+                settle({(x, row_y)}, fx, fy)
+    return frozenset(
+        ProjPoint(x, y) for (x, y), v in verdict.items() if v and abs(x) <= bound and y <= bound
+    )

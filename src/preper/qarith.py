@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Union
 
 Rat = Union[Fraction, int]
@@ -143,23 +144,21 @@ def _ecm_tables(b1: int) -> tuple[int, tuple[int, ...], int, tuple[bytes, ...]]:
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, b2 + 1, p)))
     k = 1
-    for p in range(2, b1 + 1):
-        if sieve[p]:
-            pe = p
-            while pe * p <= b1:
-                pe *= p
-            k *= pe
+    for p in compress(range(b1 + 1), sieve):
+        pe = p
+        while pe * p <= b1:
+            pe *= p
+        k *= pe
     babies = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
     index = {j: i for i, j in enumerate(babies)}
     m0 = (b1 + _ECM_D // 2) // _ECM_D
     width = len(babies)
     hit = bytearray((b2 // _ECM_D - m0 + 2) * width)  # hit[(m - m0) * width + i]
-    for p in range(b1 + 1, b2 + 1):
-        if sieve[p]:
-            m = (p + _ECM_D // 2) // _ECM_D
-            hit[(m - m0) * width + index[abs(p - m * _ECM_D)]] = 1
+    for p in compress(range(b1 + 1, b2 + 1), sieve[b1 + 1 :]):
+        m = (p + _ECM_D // 2) // _ECM_D
+        hit[(m - m0) * width + index[abs(p - m * _ECM_D)]] = 1
     pairs = tuple(
-        bytes(i for i in range(width) if hit[r + i]) for r in range(0, len(hit), width)
+        bytes(compress(range(width), hit[r : r + width])) for r in range(0, len(hit), width)
     )
     return k, babies, m0, pairs
 

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from preper.dynmap import (
     build_map,
     escape_height,
     image_pair,
+    image_row,
     orbit,
     preimages,
     preperiodic_height_bound,
@@ -120,10 +122,13 @@ def test_apply_named_values():
 
 def test_image_pair_matches_form_evaluation():
     # the kernel against ProjPoint(F(P), G(P)) from each form's own
-    # evaluate_point, a path that shares no arithmetic with image_pair; each
-    # denominator has a planted root R so that G(R) = 0 occurs
+    # evaluate_point, a path that shares no arithmetic with image_row; each
+    # denominator has a planted root R so that G(R) = 0 occurs.  Single
+    # points go through image_pair, and whole rows through image_row: the
+    # row at infinity (y = 0), R's row and a random row, each with every
+    # coprime x in [-30, 30]
     rng = random.Random(5151)
-    seen = {"negative G": 0, "zero G, negative F": 0, "gcd > 1": 0}
+    seen = Counter()
     for d in (2, 3, 4, 5):
         built = 0
         while built < 10:
@@ -144,7 +149,17 @@ def test_image_pair_matches_form_evaluation():
                 seen["negative G"] += gx < 0
                 seen["zero G, negative F"] += gx == 0 and fx < 0
                 seen["gcd > 1"] += math.gcd(fx, gx) > 1
-    assert all(seen.values()), seen
+            for y in (0, R.y, rng.randrange(1, 31)):
+                xs = [1] if y == 0 else [x for x in range(-30, 31) if math.gcd(x, y) == 1]
+                row = [ProjPoint(x, y) for x in xs]
+                values = [(phi.F.evaluate_point(P), phi.G.evaluate_point(P)) for P in row]
+                expected = [ProjPoint(fx, gx) for fx, gx in values]
+                assert image_row(phi, y, xs) == [(Q.x, Q.y) for Q in expected]
+                seen["row at infinity"] += y == 0
+                seen["row with negative x"] += xs[0] < 0
+                seen["row with gcd > 1"] += any(math.gcd(fx, gx) > 1 for fx, gx in values)
+    assert len(seen) == 6 and all(seen.values()), seen
+    assert image_row(phi, 1, []) == []
 
 
 def test_orbit_enters_cycle():

@@ -16,6 +16,7 @@ from preper.dynmap import (
     apply,
     build_map,
     escape_height,
+    image_row,
     orbit,
     preperiodic_height_bound,
 )
@@ -196,22 +197,31 @@ def test_brute_force_against_direct_orbits():
 
 
 def test_pair_scan_against_per_point_orbits(monkeypatch):
-    # the pair scan with its one-step fast path must classify exactly as one
+    # the row scan with its one-step fast path must classify exactly as one
     # orbit at a time does, and orbit climbs to the escape height while the
-    # scan stops at the preperiodic height bound. It never steps a pair above
-    # that bound, and only a pair whose first image escapes is stepped twice: no verdict
-    # is kept for it, so an orbit that reaches it later steps it again
+    # scan stops at the preperiodic height bound. Both the row steps and the
+    # single steps of the orbit walks are recorded. The scan never steps a
+    # pair above that bound, and only a pair whose first image escapes is
+    # stepped twice: no verdict is kept for it, so an orbit that reaches it
+    # from a later row steps it again
     import preper.portrait as portrait_module
 
     H = 12
-    steps = []
-    step = portrait_module.image_pair
+    steps = []  # (pair, image) in the order stepped
+    step_row, step_pair = portrait_module.image_row, portrait_module.image_pair
 
-    def recorded(phi, x, y):
-        steps.append((x, y))
-        return step(phi, x, y)
+    def recorded_row(phi, y, xs):
+        images = step_row(phi, y, xs)
+        steps.extend(((x, y), image) for x, image in zip(xs, images))
+        return images
 
-    monkeypatch.setattr(portrait_module, "image_pair", recorded)
+    def recorded_pair(phi, x, y):
+        image = step_pair(phi, x, y)
+        steps.append(((x, y), image))
+        return image
+
+    monkeypatch.setattr(portrait_module, "image_row", recorded_row)
+    monkeypatch.setattr(portrait_module, "image_pair", recorded_pair)
     rng = random.Random(1103)
     seen = Counter()
     built = 0
@@ -229,15 +239,17 @@ def test_pair_scan_against_per_point_orbits(monkeypatch):
         brute = brute_force_preperiodic(phi, H)
         records = {P: orbit(phi, P) for P in rational_points_up_to(H)}
         assert brute == {P for P, rec in records.items() if rec.kind == "preperiodic"}
-        assert all(abs(x) <= cutoff and y <= cutoff for x, y in steps)
+        assert all(abs(x) <= cutoff and y <= cutoff for (x, y), _ in steps)
         stepped = set()
-        for i, (x, y) in enumerate(steps):
+        for i, ((x, y), image) in enumerate(steps):
             F, G = phi.F.evaluate_point(ProjPoint(x, y)), phi.G.evaluate_point(ProjPoint(x, y))
             seen["gcd divided out at a bad prime"] += math.gcd(F, G) > 1
             if (x, y) in stepped:
                 assert apply(phi, ProjPoint(x, y)).height() > cutoff
-                # steps[i - 1] is the pair whose image (x, y) is
-                seen["first-step escape reached later"] += max(abs(steps[i - 1][0]), steps[i - 1][1]) <= H
+                # the orbit came here from the latest pair stepped before
+                # whose image (x, y) is, in a row call or a single step
+                px, py = next(P for P, Q in reversed(steps[:i]) if Q == (x, y))
+                seen["first-step escape reached later"] += max(abs(px), py) <= H
             stepped.add((x, y))
         inf = records[INFINITY]
         seen["cycle through infinity"] += inf.kind == "preperiodic" and INFINITY in inf.points[inf.tail_length :]
@@ -252,12 +264,15 @@ def test_pair_scan_against_per_point_orbits(monkeypatch):
 
 def test_stray_image_factor_raises_in_apply_and_the_oracle(monkeypatch):
     # gcd(F(P), G(P)) divides Res(F, G) at every P in coprime coordinates, so
-    # both apply and the oracle's pair iteration must refuse a tampered map.
-    # z^2/2 recorded with res=1: the gcd 2 at [2 : 1] does not divide it
+    # apply, a row step and the oracle's pair iteration must refuse a
+    # tampered map.  z^2/2 recorded with res=1: the gcd 2 at [2 : 1] does
+    # not divide it
     z2_half = build_map([0, 0, 1], [2])
     phi = dataclasses.replace(z2_half, res=1)
     with pytest.raises(InvariantViolation, match="gcd 2, which does not divide"):
         apply(phi, ProjPoint(2, 1))
+    with pytest.raises(InvariantViolation, match=r"at 2 has gcd 2, which does not divide"):
+        image_row(phi, 1, [-1, 1, 2, 3])
     # the oracle's height bound eliminates the Sylvester matrix, whose
     # determinant 4 already refuses the recorded res.  Tampered pairs get
     # the untampered map's bound from here on, so the pair iteration's own
@@ -273,6 +288,8 @@ def test_stray_image_factor_raises_in_apply_and_the_oracle(monkeypatch):
     phi = dataclasses.replace(z2_half, G=z2_half.F)
     with pytest.raises(InvariantViolation, match="at 0 has gcd 0"):
         apply(phi, ProjPoint(0, 1))
+    with pytest.raises(InvariantViolation, match="at 0 has gcd 0"):
+        image_row(phi, 1, [-1, 0, 1])
     with pytest.raises(InvariantViolation, match="at 0 has gcd 0"):
         brute_force_preperiodic(phi, 1)
 
@@ -336,17 +353,17 @@ def test_brute_force_keeps_a_cycle_above_any_fixed_cutoff():
 def test_brute_force_scans_only_up_to_the_escape_height(monkeypatch):
     import preper.portrait as portrait_module
 
-    # the scan walks the bare pairs of _coprime_pairs_up_to, the generator
+    # the scan walks the rows of bare pairs of _coprime_rows, the generator
     # behind rational_points_up_to, so that is the binding recorded
     phi = z_squared_plus_one()  # escape height 2
     bounds = []
-    enumerate_pairs = portrait_module._coprime_pairs_up_to
+    enumerate_rows = portrait_module._coprime_rows
 
     def recorded(height_bound):
         bounds.append(height_bound)
-        return enumerate_pairs(height_bound)
+        return enumerate_rows(height_bound)
 
-    monkeypatch.setattr(portrait_module, "_coprime_pairs_up_to", recorded)
+    monkeypatch.setattr(portrait_module, "_coprime_rows", recorded)
     assert brute_force_preperiodic(phi, 25) == {INFINITY}
     assert bounds == [preperiodic_height_bound(phi)] == [escape_height(phi)] == [2]
 

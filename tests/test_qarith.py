@@ -256,6 +256,30 @@ def test_factor_curves_do_not_depend_on_earlier_splits(monkeypatch):
     assert mixed.factors == tuple((p, 1) for p in primes)
 
 
+def test_ecm_tables_match_a_plain_construction():
+    # the tables from the primes of one sieve against a construction that
+    # shares none of their steps: k is lcm(1, ..., B1), and each stage-2 row
+    # m tests mD - j and mD + j for every baby j
+    D, ratio = qarith._ECM_D, qarith._ECM_B2_OVER_B1
+    for b1 in (1000, 3000):
+        b2 = ratio * b1
+        prime = [False, False] + [True] * (b2 - 1)
+        for p in range(2, math.isqrt(b2) + 1):
+            if prime[p]:
+                prime[p * p :: p] = [False] * len(range(p * p, b2 + 1, p))
+
+        def in_stage_2(n):
+            return b1 < n <= b2 and prime[n]
+
+        babies = tuple(j for j in range(1, D // 2) if math.gcd(j, D) == 1)
+        m0 = (b1 + D // 2) // D
+        pairs = tuple(
+            bytes(i for i, j in enumerate(babies) if in_stage_2(m * D - j) or in_stage_2(m * D + j))
+            for m in range(m0, b2 // D + 2)
+        )
+        assert qarith._ecm_tables(b1) == (math.lcm(*range(1, b1 + 1)), babies, m0, pairs)
+
+
 def test_iter_divisors():
     fr = factor(360)
     divs = sorted(iter_divisors(fr.factors))

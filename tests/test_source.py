@@ -10,15 +10,22 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "preper"
 
 
+def _assert_lines(tree):
+    """Lines of the assert statements in a parsed module."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
 def test_no_assert_statements():
     # invariants must raise real exceptions: python -O strips asserts
     found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(SRC.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Assert)
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line in _assert_lines(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert found == []
+    assert _assert_lines(ast.parse("def f(x):\n    y = x\n    assert y > 0, y")) == [3]
+    clean = "def f(x):\n    if x <= 0:\n        raise ValueError('assert x > 0')\n    assert_(x)"
+    assert _assert_lines(ast.parse(clean)) == []
 
 
 def test_public_names_resolve():
