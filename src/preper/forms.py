@@ -11,6 +11,7 @@ ascending powers of w.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from array import array
 from dataclasses import dataclass
@@ -20,7 +21,6 @@ from itertools import chain, islice, zip_longest
 from typing import Iterator, Sequence
 
 from .qarith import (
-    FactorResult,
     InvariantViolation,
     ProjPoint,
     factor,
@@ -87,7 +87,7 @@ class BinaryForm:
     def __post_init__(self) -> None:
         if len(self.coeffs) == 0:
             raise ValueError("a form needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
+        object.__setattr__(self, "coeffs", tuple(map(operator.index, self.coeffs)))
 
     @property
     def degree(self) -> int:
@@ -421,9 +421,10 @@ class RootResult:
 
     complete is True when a screen prime proves that the core has no
     rational root, whatever the factoring did.  Otherwise it degrades to
-    False when the leading/trailing coefficient could not be fully factored
-    inside the budget or the candidate walk was capped; the roots returned
-    are still genuine roots.  The residue screen never rejects a true root.
+    False when factor's budget, which the size of each coefficient sets,
+    could not fully factor the leading or trailing coefficient, or when the
+    candidate walk was capped; the roots returned are still genuine roots.
+    The residue screen never rejects a true root.
     """
 
     roots: tuple[tuple[ProjPoint, int], ...]
@@ -444,6 +445,8 @@ def root_multiplicity(f: BinaryForm, P: ProjPoint) -> int:
         m += 1
 
 
+# every _roots_mod_p call reads the slot typecode, so it is cached
+@lru_cache(maxsize=64)
 def _slot_format(p: int) -> str:
     """The array typecode of the unsigned slots _roots_mod_p packs for p: each holds p^3."""
     for code in "IQ":
@@ -452,20 +455,11 @@ def _slot_format(p: int) -> str:
     raise ValueError(f"no machine word holds {p}^3: the residue screen needs p^3 < 2^64")
 
 
-@lru_cache(maxsize=64)
-def _residue_order(p: int) -> array:
-    """The residue in each slot of _roots_mod_p: g^0, g^1, ..., g^(p-2) mod p, then 0.
-
-    g is the least primitive root mod p, so every nonzero residue appears once.
-    """
-    m = p - 1
-    qs = [q for q, _ in factor(m).factors]
-    g = next(g for g in range(1, p) if all(pow(g, m // q, p) != 1 for q in qs))
-    order = array(_slot_format(p), [1])
-    for _ in range(m - 1):
-        order.append(order[-1] * g % p)
-    order.append(0)
-    return order
+def _slots(p: int, packed: int) -> array:
+    """The p slots of a packed int, in the typecode of _slot_format(p), slot 0 first."""
+    slots = array(_slot_format(p))
+    slots.frombytes(packed.to_bytes(p * slots.itemsize, sys.byteorder))
+    return slots
 
 
 # a form needs at most p columns at p, and the screen primes are a few from
@@ -473,19 +467,21 @@ def _residue_order(p: int) -> array:
 # long-lived process that meets many primes from growing without end
 @lru_cache(maxsize=1024)
 def _power_column(p: int, e: int) -> int:
-    """r^e mod p for r in the slot order of _residue_order(p), packed, slot 0 lowest.
+    """r^e mod p for r = 0, ..., p - 1 in slots of _slot_format(p), packed, r = 0 lowest.
 
-    For r = g^k, r^e = g^(k*e mod (p - 1)), which is entry k of every e-th
-    entry of e copies of the cycle g^0, ..., g^(p-2): the column is a copy
-    and a strided slice, with no arithmetic per residue.
+    Column 2k is column 2 read at the entries of column k, (r^k)^2, which is
+    a gather with no arithmetic; column 2k + 1 is column 2k times r.  So a
+    column costs at most one product per residue, where pow(r, e, p) costs
+    several, and the columns below e that it needs are about 2*log2(e).
     """
-    order = _residue_order(p)
-    if e == 0:
-        column = array(order.typecode, [1]) * p
+    if e <= 2:
+        column = [r**e % p for r in range(p)]
+    elif e % 2:
+        column = [c * r % p for r, c in enumerate(_slots(p, _power_column(p, e - 1)))]
     else:
-        column = (order[:-1] * e)[::e]
-        column.append(0)
-    return int.from_bytes(column.tobytes(), sys.byteorder)
+        squares = _slots(p, _power_column(p, 2))
+        column = operator.itemgetter(*_slots(p, _power_column(p, e // 2)))(squares)
+    return int.from_bytes(array(_slot_format(p), column).tobytes(), sys.byteorder)
 
 
 def _roots_mod_p(coeffs: tuple[int, ...], p: int) -> frozenset[int]:
@@ -494,10 +490,9 @@ def _roots_mod_p(coeffs: tuple[int, ...], p: int) -> frozenset[int]:
     Exponents are first folded modulo x^p - x, which every r in F_p
     satisfies, so at most p power columns enter.  Then every r is evaluated
     at once: the folded coefficients, reduced mod p, weight the packed
-    columns r^e mod p (slots in the order of _residue_order(p)) in one
-    big-integer sum.  A slot then holds a sum of at most p products below
-    p^2, so it stays below p^3 and never carries into the next; the slots
-    are read back through a memoryview.
+    columns r^e mod p in one big-integer sum.  A slot then holds a sum of at
+    most p products below p^2, so it stays below p^3 and never carries into
+    the next; slot r is read back as the value at r.
     """
     deg = len(coeffs) - 1
     folded = [0] * min(deg + 1, p)
@@ -507,10 +502,8 @@ def _roots_mod_p(coeffs: tuple[int, ...], p: int) -> frozenset[int]:
             e = (e - 1) % (p - 1) + 1
         folded[e] += c
     folded = [c % p for c in folded]
-    order = _residue_order(p)
     total = sum(c * _power_column(p, e) for e, c in enumerate(folded) if c)
-    slots = memoryview(total.to_bytes(p * order.itemsize, sys.byteorder)).cast(order.typecode)
-    return frozenset([order[k] for k, v in enumerate(slots) if v % p == 0])
+    return frozenset([r for r, v in enumerate(_slots(p, total)) if v % p == 0])
 
 
 def _residue_screen(core: tuple[int, ...]) -> list[tuple[int, frozenset[int]]]:
@@ -522,14 +515,6 @@ def _residue_screen(core: tuple[int, ...]) -> list[tuple[int, frozenset[int]]]:
             screen.append((p, _roots_mod_p(core, p)))
         p += 1
     return screen
-
-
-def _default_factor_budget(n: int) -> dict:
-    # factor's default budget finds factors of up to about 55 bits.  On
-    # gigantic inputs each curve is also expensive, so the budget shrinks
-    # with size, to six curves at the first stage-1 bound, and the
-    # completeness flag carries the consequence
-    return {} if abs(n).bit_length() <= 1500 else {"curves": 6}
 
 
 def _screened_candidates(
@@ -587,6 +572,7 @@ def rational_roots(f: BinaryForm) -> RootResult:
     core(a, b) = b^deg * core(a/b, 1), so the screen never drops a true root.
     In particular a screen prime with no root proves that the core has no
     rational root: then there is no candidate, and the result is complete.
+    factor sets its own curve budget from the size of each end coefficient.
     """
     if f.is_zero:
         raise ValueError("zero form vanishes everywhere")
@@ -600,9 +586,8 @@ def rational_roots(f: BinaryForm) -> RootResult:
     complete = True
     if len(core) > 1:
         lead, trail = core[0], core[-1]
-        fk = _default_factor_budget(max(abs(lead), abs(trail)))
-        fr_trail: FactorResult = factor(trail, **fk)
-        fr_lead: FactorResult = factor(lead, **fk)
+        fr_trail = factor(trail)
+        fr_lead = factor(lead)
         screen = _residue_screen(core)
         if all(roots for _, roots in screen):
             candidates, within_cap = _screened_candidates(

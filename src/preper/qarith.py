@@ -150,13 +150,16 @@ def _ecm_tables(b1: int) -> tuple[int, tuple[int, ...], int, tuple[bytes, ...]]:
             pe *= p
         k *= pe
     babies = tuple(j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1)
-    index = {j: i for i, j in enumerate(babies)}
     m0 = (b1 + _ECM_D // 2) // _ECM_D
-    width = len(babies)
-    hit = bytearray((b2 // _ECM_D - m0 + 2) * width)  # hit[(m - m0) * width + i]
-    for p in compress(range(b1 + 1, b2 + 1), sieve[b1 + 1 :]):
-        m = (p + _ECM_D // 2) // _ECM_D
-        hit[(m - m0) * width + index[abs(p - m * _ECM_D)]] = 1
+    rows, width = b2 // _ECM_D - m0 + 2, len(babies)
+    # stage[D + q]: q is a prime in (b1, b2]; the padding keeps slices in range
+    stage = bytes(_ECM_D + b1 + 1) + sieve[b1 + 1 :] + bytes(2 * _ECM_D)
+    hit = bytearray(rows * width)  # hit[(m - m0) * width + i]
+    for i, j in enumerate(babies):
+        # rows m0, m0 + 1, ... of the classes mD + j and mD - j, OR-ed
+        plus, minus = (stage[(m0 + 1) * _ECM_D + r :: _ECM_D][:rows] for r in (j, -j))
+        either = int.from_bytes(plus, "little") | int.from_bytes(minus, "little")
+        hit[i::width] = either.to_bytes(rows, "little")
     pairs = tuple(
         bytes(compress(range(width), hit[r : r + width])) for r in range(0, len(hit), width)
     )
@@ -293,9 +296,15 @@ _TRIAL_BOUND = 1000
 # Steps of the one Brent rho attempt; a composite it leaves goes to ECM.
 _RHO_STEPS = 20_000
 
+# ECM's budget of failed curves in one factor call.  Above _ECM_LARGE_BITS one
+# curve takes about 0.4 s at B1 = 1000 (1600 bits), so the budget shrinks.
+_ECM_CURVES = 120
+_ECM_LARGE_BITS = 1500
+_ECM_LARGE_CURVES = 6
 
-def factor(n: int, *, curves: int = 120) -> FactorResult:
-    """Factor |n| with a bounded effort budget.
+
+def factor(n: int) -> FactorResult:
+    """Factor |n| with a bounded effort budget, set by the size of n.
 
     Stages, each on what the one before left:
     - trial division by 2, 3 and a 6k+-1 wheel up to _TRIAL_BOUND, which
@@ -311,11 +320,13 @@ def factor(n: int, *, curves: int = 120) -> FactorResult:
       Pollard and elliptic curve methods of factorization", Math. Comp.
       1987).  Each curve's parameter depends only on the composite and
       the curve's index, and its stage-1 bound on the index
-      (_ECM_B1_SCHEDULE).  The default budget finds factors of 40-55 bits.
-    curves bounds the failed curves over the whole call; a split uses none
-    up, and the smaller piece of a split is worked on first.  When the
-    budget runs out the composite remainder is surfaced as ``cofactor``
-    rather than silently dropped.
+      (_ECM_B1_SCHEDULE).
+    The budget bounds the failed curves over the whole call, and the input
+    sets it: _ECM_CURVES, which finds factors of 40-55 bits, or
+    _ECM_LARGE_CURVES when |n| has more than _ECM_LARGE_BITS bits.  A split
+    uses none of it up, and the smaller piece of a split is worked on
+    first.  When the budget runs out the composite remainder is surfaced as
+    ``cofactor`` rather than silently dropped.
 
     Examples:
         >>> factor(600851475143).factors
@@ -330,6 +341,7 @@ def factor(n: int, *, curves: int = 120) -> FactorResult:
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
+    curves_left = _ECM_CURVES if n.bit_length() <= _ECM_LARGE_BITS else _ECM_LARGE_CURVES
     found: dict[int, int] = {}
 
     def push(p: int, e: int = 1) -> None:
@@ -349,7 +361,6 @@ def factor(n: int, *, curves: int = 120) -> FactorResult:
     # (m, e): m^e divides what is left, and a perfect power's root is
     # factored once, whatever its exponent
     pending = [(n, 1)] if n > 1 else []
-    curves_left = curves
     stuck: list[int] = []
     while pending:
         m, e = pending.pop()

@@ -159,6 +159,13 @@ def test_form_basics():
     assert str(BinaryForm((0, 1, -1, 0))) == "X^2*Y - X*Y^2"
 
 
+@pytest.mark.parametrize("coeffs", [(Fraction(1, 2), 3), (2.7, 1), ("5", 1)])
+def test_form_rejects_coefficients_that_are_not_integers(coeffs):
+    # int() would truncate the first two to 0 and 2 and parse the string
+    with pytest.raises(TypeError):
+        BinaryForm(coeffs)
+
+
 def test_evaluate_against_power_sum():
     rng = random.Random(4)
     for _ in range(200):
@@ -532,14 +539,15 @@ def test_rational_roots_against_brute_scan():
 
 
 HARD_SEMIPRIME = (2**127 - 1) * (2**89 - 1)
-STARVED_BUDGET = {"curves": 1}
+STARVED_CURVES = 1
 
 
 @pytest.fixture
 def starved_budget(monkeypatch):
-    # ten rho steps and one curve
+    # ten rho steps and one curve, at every input size
     monkeypatch.setattr(qarith, "_RHO_STEPS", 10)
-    monkeypatch.setattr(forms, "_default_factor_budget", lambda n: STARVED_BUDGET)
+    monkeypatch.setattr(qarith, "_ECM_CURVES", STARVED_CURVES)
+    monkeypatch.setattr(qarith, "_ECM_LARGE_CURVES", STARVED_CURVES)
 
 
 def test_rational_roots_incomplete_when_budget_starved(starved_budget):
@@ -741,13 +749,19 @@ def test_roots_mod_p_packed_sum_matches_horner():
                 cases.append((tuple(rng.randrange(-(10**9), 10**9) for _ in range(deg + 1)), p))
     for coeffs, p in cases:
         assert forms._roots_mod_p(coeffs, p) == _roots_by_horner(coeffs, p), (p, len(coeffs))
+    # every column against pow, from a cold cache: each builds on lower ones
+    forms._power_column.cache_clear()
+    for p in (2, 3, 61, 67, 2053):
+        for e in reversed(range(min(p, 130))):
+            column = forms._slots(p, forms._power_column(p, e))
+            assert list(column) == [pow(r, e, p) for r in range(p)], (p, e)
     assert forms._roots_mod_p(cases[0][0], 61) == set(range(61))
     assert forms._roots_mod_p(cases[2][0], 61) == set(range(61))
 
 
 def test_power_column_cache_stays_bounded():
     # a long-lived process screens forms at many primes; the packed columns
-    # and slot orders it keeps are capped by the cache sizes, not by the
+    # and slot typecodes it keeps are capped by the cache sizes, not by the
     # primes it has seen
     maxsize = forms._power_column.cache_info().maxsize
     coeffs = tuple(range(1, 20))
@@ -755,10 +769,9 @@ def test_power_column_cache_stays_bounded():
     assert len(primes) * len(coeffs) > maxsize
     for p in primes:
         assert forms._roots_mod_p(coeffs, p) == _roots_by_horner(coeffs, p)
-        assert sorted(forms._residue_order(p)) == list(range(p))
     assert forms._power_column.cache_info().currsize == maxsize
-    orders = forms._residue_order.cache_info()
-    assert orders.currsize == orders.maxsize < len(primes)
+    formats = forms._slot_format.cache_info()
+    assert formats.currsize == formats.maxsize < len(primes)
 
 
 def test_rational_roots_planted_roots():

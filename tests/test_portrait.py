@@ -222,18 +222,21 @@ def test_pair_scan_against_per_point_orbits(monkeypatch):
 
     monkeypatch.setattr(portrait_module, "image_row", recorded_row)
     monkeypatch.setattr(portrait_module, "image_pair", recorded_pair)
+    # two planted maps, then 30 seeded ones.  Each planted map has two pairs
+    # whose first step escapes and that an orbit from a later row reaches,
+    # so that case does not rest on the seeded draw alone
+    maps = [build_map([3, 2, 2, 5], [-3, -4]), build_map([2, 0, -4, -5], [-1, 4, -3, -1])]
     rng = random.Random(1103)
-    seen = Counter()
-    built = 0
-    while built < 30:
+    while len(maps) < 32:
         d = rng.choice((2, 3))
         num = [rng.randrange(-5, 6) for _ in range(d + 1)]
         den = [rng.randrange(-5, 6) for _ in range(rng.randrange(1, d + 2))]
         try:
-            phi = build_map(num, den)
+            maps.append(build_map(num, den))
         except DegenerateMapError:
             continue
-        built += 1
+    seen = Counter()
+    for phi in maps:
         cutoff = preperiodic_height_bound(phi)
         steps.clear()
         brute = brute_force_preperiodic(phi, H)
@@ -260,6 +263,7 @@ def test_pair_scan_against_per_point_orbits(monkeypatch):
         "cycle through infinity",
         "height bound below H",
     } and all(seen.values()), seen
+    assert seen["first-step escape reached later"] >= 3, seen
 
 
 def test_stray_image_factor_raises_in_apply_and_the_oracle(monkeypatch):

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from preper import qarith
-from preper.forms import _default_factor_budget
+from preper.dynmap import build_map
 from preper.qarith import (
     INFINITY,
     FactorResult,
@@ -110,10 +110,11 @@ def test_factor_splits_perfect_powers_without_rho(monkeypatch):
     # splits them, so with no rho step and no curve they still factor
     # completely
     cases = ((10**9 + 7, 5), (2**61 - 1, 2))
-    for steps, budget in ((qarith._RHO_STEPS, {}), (0, {"curves": 0})):
+    for steps, curves in ((qarith._RHO_STEPS, qarith._ECM_CURVES), (0, 0)):
         monkeypatch.setattr(qarith, "_RHO_STEPS", steps)
+        monkeypatch.setattr(qarith, "_ECM_CURVES", curves)
         for p, e in cases:
-            res = factor(p**e, **budget)
+            res = factor(p**e)
             assert res.factors == ((p, e),)
             assert res.complete
 
@@ -130,7 +131,8 @@ def test_factor_budget_surfaces_cofactor(monkeypatch):
     p = _next_prime(2**129)
     q = _next_prime(p)
     monkeypatch.setattr(qarith, "_RHO_STEPS", 50)
-    res = factor(p * q, curves=2)
+    monkeypatch.setattr(qarith, "_ECM_CURVES", 2)
+    res = factor(p * q)
     assert not res.complete
     assert res.cofactor == p * q
     assert math.prod(f**e for f, e in res.factors) * res.cofactor == p * q
@@ -160,10 +162,6 @@ def test_factor_splits_semiprimes_of_40_to_55_bits():
         assert math.prod(p**e for p, e in res.factors) == n
 
 
-# the budget rational_roots gives an end coefficient above 1500 bits
-LARGE_INPUT_BUDGET = _default_factor_budget(1 << 1600)
-
-
 def _primes_between(rng: random.Random, lo: int, hi: int, count: int) -> list[int]:
     out: set[int] = set()
     while len(out) < count:
@@ -173,7 +171,7 @@ def _primes_between(rng: random.Random, lo: int, hi: int, count: int) -> list[in
     return sorted(out)
 
 
-def test_factor_returns_planted_factorizations():
+def test_factor_returns_planted_factorizations(monkeypatch):
     # primes from below the trial bound, from the trial bound to 10^6 (where
     # rho takes over from the wheel) and from 10^6 to 2^40, some to higher
     # powers; the largest products are past the deterministic range of
@@ -188,9 +186,12 @@ def test_factor_returns_planted_factorizations():
                 planted[p] = planted.get(p, 0) + rng.choice((1, 1, 2, 3))
         n = math.prod(p**e for p, e in planted.items())
         want = tuple(sorted(planted.items()))
-        for budget in ({}, LARGE_INPUT_BUDGET):
-            res = factor(n, **budget)
-            assert res.complete and res.factors == want, (n, budget)
+        # at _ECM_LARGE_BITS 0 every input gets the budget of one above 1500 bits
+        for large_bits in (qarith._ECM_LARGE_BITS, 0):
+            with monkeypatch.context() as mp:
+                mp.setattr(qarith, "_ECM_LARGE_BITS", large_bits)
+                res = factor(n)
+            assert res.complete and res.factors == want, (n, large_bits)
         powers += any(e > 1 for e in planted.values())
         past_deterministic += n > qarith._MR_DETERMINISTIC_BOUND
     assert powers > 30 and past_deterministic > 30
@@ -203,7 +204,9 @@ def test_factor_curves_count_only_failures(monkeypatch):
     # the last failure, is enough
     bound = qarith._TRIAL_BOUND
     primes = _primes_between(random.Random(1515), bound, 10 * bound, 30)
-    res = factor(math.prod(primes), curves=0)
+    with monkeypatch.context() as mp:
+        mp.setattr(qarith, "_ECM_CURVES", 0)
+        res = factor(math.prod(primes))
     assert res.complete
     assert res.factors == tuple((p, 1) for p in primes)
     primes = _primes_between(random.Random(1515), 2**30, 2**34, 4)
@@ -220,7 +223,8 @@ def test_factor_curves_count_only_failures(monkeypatch):
         mp.setattr(qarith, "_ecm_curve", recording_curve)
         res = factor(math.prod(primes))
     assert res.complete and outcomes.count(True) >= 3
-    res = factor(math.prod(primes), curves=outcomes.count(False) + 1)
+    monkeypatch.setattr(qarith, "_ECM_CURVES", outcomes.count(False) + 1)
+    res = factor(math.prod(primes))
     assert res.complete
     assert res.factors == tuple((p, 1) for p in primes)
 
@@ -229,7 +233,7 @@ def test_factor_curves_do_not_depend_on_earlier_splits(monkeypatch):
     # R is out of reach of this budget; the dozen small primes next to it
     # split first and leave R the rho seed and the curves it gets alone
     R = (2**61 - 1) * (2**89 - 1)
-    budget = {"curves": 2}
+    monkeypatch.setattr(qarith, "_ECM_CURVES", 2)
     bound = qarith._TRIAL_BOUND
     primes = _primes_between(random.Random(1516), bound, 10 * bound, 12)
     calls: list[tuple] = []
@@ -247,13 +251,44 @@ def test_factor_curves_do_not_depend_on_earlier_splits(monkeypatch):
 
     monkeypatch.setattr(qarith, "_brent_rho", recording_rho)
     monkeypatch.setattr(qarith, "_ecm_curve", recording_curve)
-    alone = factor(R, **budget)
+    alone = factor(R)
     assert alone.cofactor == R and [c[0] for c in calls] == ["rho", "curve", "curve"]
     first = list(calls)
     calls.clear()
-    mixed = factor(R * math.prod(primes), **budget)
+    mixed = factor(R * math.prod(primes))
     assert mixed.cofactor == R and calls == first
     assert mixed.factors == tuple((p, 1) for p in primes)
+
+
+def test_factor_sets_the_small_budget_above_the_large_input_bits(monkeypatch):
+    # a composite past _ECM_LARGE_BITS that rho cannot split gets
+    # _ECM_LARGE_CURVES curves, in a factor call and in build_map's factoring
+    # of Res, and one below it gets _ECM_CURVES.  No rho step, small budgets
+    # and B1 = 20 keep every curve to milliseconds
+    M = (2**521 - 1) * (2**1279 - 1)  # two Mersenne primes
+    small = (2**89 - 1) * (2**107 - 1)
+    assert small.bit_length() <= qarith._ECM_LARGE_BITS < M.bit_length()
+    monkeypatch.setattr(qarith, "_RHO_STEPS", 0)
+    monkeypatch.setattr(qarith, "_ECM_CURVES", 5)
+    monkeypatch.setattr(qarith, "_ECM_LARGE_CURVES", 2)
+    monkeypatch.setattr(qarith, "_ECM_B1_SCHEDULE", ((0, 20),))
+    curves: list[int] = []
+    curve = qarith._ecm_curve
+
+    def recording_curve(n: int, sigma: int, b1: int) -> int:
+        curves.append(n)
+        return curve(n, sigma, b1)
+
+    monkeypatch.setattr(qarith, "_ecm_curve", recording_curve)
+    for n, budget in ((M, 2), (-M, 2), (small, 5)):
+        curves.clear()
+        assert factor(n) == FactorResult(factors=(), cofactor=abs(n))
+        assert curves == [abs(n)] * budget
+    # (z^2 + M)/z: Res(X^2 + M*Y^2, X*Y) = -M
+    curves.clear()
+    phi = build_map([M, 0, 1], [0, 1])
+    assert abs(phi.res) == M and phi.res_cofactor == M and phi.bad_primes.primes == ()
+    assert curves == [M] * 2
 
 
 def test_ecm_tables_match_a_plain_construction():

@@ -79,6 +79,34 @@ def test_caches_are_bounded():
     assert list(_unbounded_caches(ast.parse(bounded))) == []
 
 
+def _factor_calls_with_keywords(tree):
+    """Lines of the calls of a function or method named factor that pass a keyword."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.keywords:
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) == "factor":
+                yield node.lineno
+
+
+def test_factor_sets_its_own_budget():
+    # qarith.factor owns its curve budget: it takes n alone, and no call
+    # under src/ passes it a keyword, ** included
+    import inspect
+
+    from preper import qarith
+
+    assert list(inspect.signature(qarith.factor).parameters) == ["n"]
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SRC.glob("*.py"))
+        for line in _factor_calls_with_keywords(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert found == []
+    for source in ("factor(n, curves=6)", "qarith.factor(n, **budget)"):
+        assert list(_factor_calls_with_keywords(ast.parse(source))) == [1], source
+    clean = "factor(n)\nfactor(trail)\nfr = self.factor()\nsplit(n, curves=6)"
+    assert list(_factor_calls_with_keywords(ast.parse(clean))) == []
+
+
 def _imported_names(tree):
     """(bound name, line) for every import except __future__ ones."""
     for node in ast.walk(tree):
