@@ -17,8 +17,8 @@ only once, at the top of the expression. That rule makes "1/x + x^2" and
 "(x-1)*(x-2)/x^2" parses as intended, and "-x^2/(x+1)" has the numerator
 -x^2. A Unicode minus sign is accepted anywhere an ASCII hyphen is.
 
-Exit codes: 0 success, 2 expression or parameter error, 3 degenerate map,
-4 internal invariant failure.
+Exit codes: 0 success, 2 expression or parameter error or an --out file
+that cannot be written, 3 degenerate map, 4 internal invariant failure.
 """
 
 import argparse
@@ -41,7 +41,7 @@ from .certify import (
 )
 from .dynatomic import PeriodicPoint
 from .dynmap import DegenerateMapError, InvariantViolation, RationalMap, build_map
-from .families import FamilySpec, generate
+from .families import FAMILY_TOKENS, FamilySpec, generate
 from .forms import BinaryForm, _add, _product
 from .portrait import (
     CompletenessFlags,
@@ -580,11 +580,14 @@ def _selected_maps(args) -> list[tuple[Optional[str], Optional[RationalMap]]]:
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise ValueError(f"cannot write --out {out_path}: {e.strerror or e}") from None
 
 
 def _render_analyze(portrait: Portrait, args) -> Union[dict, str]:
@@ -652,9 +655,8 @@ def _run(args) -> int:
         pieces.append(piece)
     if args.format == "json":
         payload = pieces[0] if len(pieces) == 1 else pieces
-        _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
-    else:
-        _emit("".join(pieces), args.out)
+        pieces = [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
+    _emit("".join(pieces), args.out)
     return EXIT_OK
 
 
@@ -675,7 +677,7 @@ def make_parser() -> argparse.ArgumentParser:
     for name, help_text, render in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--map", help="rational map expression in x")
-        p.add_argument("--family", choices=["ex51", "ex52"], help="built-in family")
+        p.add_argument("--family", choices=FAMILY_TOKENS, help="built-in family")
         p.add_argument("--d", type=int, help="family parameter")
         if name == "analyze":
             p.add_argument("--d-range", dest="d_range", help="family parameter sweep A:B")

@@ -60,15 +60,15 @@ def build_map(num: Sequence[Rat], den: Sequence[Rat]) -> RationalMap:
 
     Rational coefficients are cleared to integers, the joint content is
     divided out, and the resultant is computed and factored.  A zero
-    resultant (shared factor, proportional forms) or total degree < 2 raises
-    DegenerateMapError.
+    resultant (shared factor, proportional forms), a zero denominator or
+    degree < 2 (0 for a zero numerator) raises DegenerateMapError.
     """
     dn, dd = (max((i for i, c in enumerate(poly) if c), default=-1) for poly in (num, den))
-    if dn < 0 and dd < 0:
-        raise DegenerateMapError("0/0 is not a map")
-    d = max(dn, dd)
+    if dd < 0:
+        raise DegenerateMapError("0/0 is not a map" if dn < 0 else "the denominator is zero")
+    d = max(dn, dd) if dn >= 0 else 0
     if d < 2:
-        raise DegenerateMapError(f"map degree {max(d, 0)} < 2")
+        raise DegenerateMapError(f"map degree {d} < 2")
     num, den = [Fraction(c) for c in num[: dn + 1]], [Fraction(c) for c in den[: dd + 1]]
     lcm = math.lcm(*(c.denominator for c in num + den))
     F, G = (form_from_poly([c * lcm for c in poly], d) for poly in (num, den))

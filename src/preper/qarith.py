@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -277,21 +278,26 @@ def integer_root(n: int, k: int) -> int:
         h = nxt
 
 
-def _perfect_root(n: int) -> Optional[tuple[int, int]]:
-    """(r, k) with r^k = n for some prime k, else None."""
-    for k in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        r = integer_root(n, k)
-        if r > 1 and r**k == n:
+# Trial division stops at this bound.  Past it, one is_prime call settles a
+# prime remainder and Brent rho splits a composite one, a factor below 10^6
+# in about a thousand steps.  On the benchmark's factor calls, bounds from
+# 2^8 to 2^11 time alike and larger ones slower.
+_TRIAL_BOUND = 1000
+_TRIAL_PRIMES = tuple(filter(is_prime, range(2, _TRIAL_BOUND)))
+
+
+def _perfect_root(m: int) -> Optional[tuple[int, int]]:
+    """(r, k) with r^k = m for the least k >= 2, else None.
+
+    No prime below _TRIAL_BOUND may divide m: then r > 2^9, so k is at most
+    m.bit_length() // 9 and every exponent is tried.
+    """
+    for k in range(2, m.bit_length() // 9 + 1):
+        r = integer_root(m, k)
+        if r**k == m:
             return r, k
     return None
 
-
-# Trial division stops at this bound.  Past it, one is_prime call settles a
-# prime remainder and Brent rho splits a composite one, a factor below 10^6
-# in about a thousand steps where the wheel takes up to 166 000.  On the
-# benchmark's factor calls, bounds from 2^8 to 2^11 time alike and larger
-# ones slower.
-_TRIAL_BOUND = 1000
 
 # Steps of the one Brent rho attempt; a composite it leaves goes to ECM.
 _RHO_STEPS = 20_000
@@ -304,13 +310,13 @@ _ECM_LARGE_CURVES = 6
 
 
 def factor(n: int) -> FactorResult:
-    """Factor |n| with a bounded effort budget, set by the size of n.
+    """Factor |n| with a bounded effort budget, set by what trial division leaves.
 
     Stages, each on what the one before left:
-    - trial division by 2, 3 and a 6k+-1 wheel up to _TRIAL_BOUND, which
-      proves a remainder below its square prime;
+    - trial division by the primes below _TRIAL_BOUND, which proves a
+      remainder below its square prime;
     - is_prime (deterministic below 3.3e24) settles a prime remainder, and
-      a perfect power splits into its root;
+      a perfect power splits into its root, every exponent tried;
     - one Brent-cycle Pollard rho attempt of at most _RHO_STEPS steps, which
       splits off factors up to about 30 bits;
     - Lenstra's elliptic-curve method (Lenstra, "Factoring integers with
@@ -321,12 +327,12 @@ def factor(n: int) -> FactorResult:
       1987).  Each curve's parameter depends only on the composite and
       the curve's index, and its stage-1 bound on the index
       (_ECM_B1_SCHEDULE).
-    The budget bounds the failed curves over the whole call, and the input
-    sets it: _ECM_CURVES, which finds factors of 40-55 bits, or
-    _ECM_LARGE_CURVES when |n| has more than _ECM_LARGE_BITS bits.  A split
-    uses none of it up, and the smaller piece of a split is worked on
-    first.  When the budget runs out the composite remainder is surfaced as
-    ``cofactor`` rather than silently dropped.
+    The budget bounds the failed curves over the whole call, and what trial
+    division leaves sets it: _ECM_CURVES, which finds factors of 40-55
+    bits, or _ECM_LARGE_CURVES when that has more than _ECM_LARGE_BITS
+    bits.  A split uses none of it up, and the smaller piece of a split is
+    worked on first.  When the budget runs out the composite remainder is
+    surfaced as ``cofactor`` rather than silently dropped.
 
     Examples:
         >>> factor(600851475143).factors
@@ -341,23 +347,14 @@ def factor(n: int) -> FactorResult:
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
-    curves_left = _ECM_CURVES if n.bit_length() <= _ECM_LARGE_BITS else _ECM_LARGE_CURVES
-    found: dict[int, int] = {}
-
-    def push(p: int, e: int = 1) -> None:
-        found[p] = found.get(p, 0) + e
-
-    for p in (2, 3):
+    found: Counter[int] = Counter()
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
-            push(p)
+            found[p] += 1
             n //= p
-    q = 5
-    while q <= _TRIAL_BOUND and q * q <= n:
-        for cand in (q, q + 2):
-            while n % cand == 0:
-                push(cand)
-                n //= cand
-        q += 6
+    curves_left = _ECM_CURVES if n.bit_length() <= _ECM_LARGE_BITS else _ECM_LARGE_CURVES
     # (m, e): m^e divides what is left, and a perfect power's root is
     # factored once, whatever its exponent
     pending = [(n, 1)] if n > 1 else []
@@ -367,15 +364,15 @@ def factor(n: int) -> FactorResult:
         # every prime factor of m is above _TRIAL_BOUND, so if m is below
         # its square, m is prime
         if m <= _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
-            push(m, e)
+            found[m] += e
             continue
         pr = _perfect_root(m)
         if pr is not None:
             r, k = pr
             pending.append((r, e * k))
             continue
-        # seed m + 23 keeps the walk rho took first when it had 24 attempts,
-        # so every composite it split at once still splits in the same steps
+        # the seed is a function of m alone, so m takes the same walk, and
+        # comes out split or stuck alike, in whatever input it was found
         g = _brent_rho(m, seed=m + 23, max_steps=_RHO_STEPS)
         i = 0
         while g == 1 and curves_left > 0:

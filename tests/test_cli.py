@@ -26,7 +26,7 @@ from preper.cli import (
 )
 from preper.dynmap import InvariantViolation, build_map
 from preper.families import FamilySpec, generate
-from preper.portrait import build_portrait
+from preper.portrait import build_portrait, default_period_cap
 from preper.qarith import ProjPoint
 
 
@@ -190,6 +190,15 @@ def test_exit_code_on_degenerate_map(capsys):
     assert main(["analyze", "--map", "x"]) == 3
     assert main(["analyze", "--map", "0"]) == 3
     assert "degenerate" in capsys.readouterr().err
+    # a zero denominator is not a shared factor, and a zero numerator is
+    # the constant map 0
+    for text, reason in (
+        ("x^2/0", "the denominator is zero"),
+        ("0/(x^2+1)", "map degree 0 < 2"),
+        ("(x^2-1)/(x-1)", "zero resultant: numerator and denominator share a factor"),
+    ):
+        assert main(["analyze", "--map", text]) == 3
+        assert capsys.readouterr().err == f"degenerate map: {reason}\n", text
 
 
 def test_exit_code_on_bad_family_parameters(capsys):
@@ -597,6 +606,32 @@ def test_out_flag_writes_file(tmp_path, capsys):
     on_disk = json.loads(target.read_text())
     assert main(["analyze", "--map", "x^2", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out) == on_disk
+
+
+@pytest.mark.parametrize("where", ["missing/dir/portrait.json", "."])
+def test_out_path_that_cannot_be_written_is_a_parameter_error(tmp_path, capsys, where):
+    # a missing directory, or a directory given as the file: exit 2 with the
+    # path and the reason, not a traceback after the portrait is built
+    target = tmp_path / where
+    assert main(["analyze", "--map", "x^2", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "No such file or directory" if where != "." else "Is a directory"
+    assert captured.err == f"error: cannot write --out {target}: {reason}\n"
+
+
+def test_max_period_help_states_the_default_period_cap():
+    # "default 6 up to degree 3, 4 up to degree 5, else 3" read back as a
+    # rule, against portrait.default_period_cap
+    (sub,) = (a for a in cli.make_parser()._actions if a.dest == "command")
+    (action,) = (a for a in sub.choices["analyze"]._actions if a.dest == "max_period")
+    text = action.help
+    steps = [(int(c), int(d)) for c, d in re.findall(r"(\d+) up to degree (\d+)", text)]
+    (rest,) = map(int, re.findall(r"else (\d+)", text))
+    assert steps
+    for d in range(2, 9):
+        stated = next((cap for cap, top in steps if d <= top), rest)
+        assert stated == default_period_cap(d), d
 
 
 def test_max_period_flag_limits_the_search(capsys):

@@ -82,6 +82,15 @@ def test_build_map_finds_bad_primes_past_rhos_reach():
     assert phi.bad_primes == PrimeSet((p, q))
 
 
+def test_build_map_finds_a_prime_to_the_power_41():
+    # z^41 + 1/p: Res = p^82, a perfect power with an exponent above 37
+    p = 1099511627791  # the least prime above 2^40
+    phi = build_map([Fraction(1, p)] + [0] * 40 + [1], [1])
+    assert phi.res == p**82
+    assert phi.bad_primes_complete
+    assert phi.bad_primes == PrimeSet((p,))
+
+
 def test_build_map_clears_denominators_and_content():
     # (z^2/2 + 1/2) / (z/2... ) scaled versions build the same map
     a = build_map([Fraction(1, 2), 0, Fraction(1, 2)], [Fraction(1, 2)])
@@ -109,6 +118,10 @@ def test_build_map_rejections():
         build_map([0, 0, 2], [0, 0, 3])  # proportional forms
     with pytest.raises(DegenerateMapError):
         build_map([1, 2, 1], [1, 1])  # (z+1)^2 / (z+1)
+    with pytest.raises(DegenerateMapError, match="the denominator is zero"):
+        build_map([0, 0, 1], [0])  # z^2/0
+    with pytest.raises(DegenerateMapError, match="map degree 0 < 2"):
+        build_map([0], [1, 0, 1])  # 0/(z^2 + 1), the constant map 0
 
 
 def test_apply_named_values():

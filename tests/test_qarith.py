@@ -108,8 +108,9 @@ def test_factor_splits_semiprime_beyond_trial_bound():
 def test_factor_splits_perfect_powers_without_rho(monkeypatch):
     # prime powers beyond the trial bound: the perfect-power branch alone
     # splits them, so with no rho step and no curve they still factor
-    # completely
-    cases = ((10**9 + 7, 5), (2**61 - 1, 2))
+    # completely.  1009 is the least prime past the trial bound, and 41 and
+    # 43 are exponents above 37
+    cases = ((10**9 + 7, 5), (2**61 - 1, 2), (1009, 43), (_next_prime(2**40), 41))
     for steps, curves in ((qarith._RHO_STEPS, qarith._ECM_CURVES), (0, 0)):
         monkeypatch.setattr(qarith, "_RHO_STEPS", steps)
         monkeypatch.setattr(qarith, "_ECM_CURVES", curves)
@@ -173,7 +174,7 @@ def _primes_between(rng: random.Random, lo: int, hi: int, count: int) -> list[in
 
 def test_factor_returns_planted_factorizations(monkeypatch):
     # primes from below the trial bound, from the trial bound to 10^6 (where
-    # rho takes over from the wheel) and from 10^6 to 2^40, some to higher
+    # rho takes over from trial division) and from 10^6 to 2^40, some to higher
     # powers; the largest products are past the deterministic range of
     # is_prime
     rng = random.Random(1980)
@@ -289,6 +290,28 @@ def test_factor_sets_the_small_budget_above_the_large_input_bits(monkeypatch):
     phi = build_map([M, 0, 1], [0, 1])
     assert abs(phi.res) == M and phi.res_cofactor == M and phi.bad_primes.primes == ()
     assert curves == [M] * 2
+
+
+def test_factor_sets_the_budget_from_what_trial_division_leaves(monkeypatch):
+    # 2^1600 * M is past _ECM_LARGE_BITS, but trial division leaves the
+    # 196-bit M, which gets _ECM_CURVES curves, as it does alone
+    M = (2**89 - 1) * (2**107 - 1)
+    n = 2**1600 * M
+    assert M.bit_length() <= qarith._ECM_LARGE_BITS < n.bit_length()
+    monkeypatch.setattr(qarith, "_RHO_STEPS", 0)
+    monkeypatch.setattr(qarith, "_ECM_CURVES", 5)
+    monkeypatch.setattr(qarith, "_ECM_LARGE_CURVES", 2)
+    monkeypatch.setattr(qarith, "_ECM_B1_SCHEDULE", ((0, 20),))
+    curves: list[int] = []
+    curve = qarith._ecm_curve
+
+    def recording_curve(m: int, sigma: int, b1: int) -> int:
+        curves.append(m)
+        return curve(m, sigma, b1)
+
+    monkeypatch.setattr(qarith, "_ecm_curve", recording_curve)
+    assert factor(n) == FactorResult(factors=((2, 1600),), cofactor=M)
+    assert curves == [M] * 5
 
 
 def test_ecm_tables_match_a_plain_construction():

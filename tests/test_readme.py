@@ -1,5 +1,8 @@
 """The README's command lines and quick start run; its map expressions mean what it says."""
 
+import builtins
+import importlib
+import pkgutil
 import re
 import shlex
 from fractions import Fraction
@@ -7,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import preper
 from preper.cli import MapSyntaxError, main, parse_map
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
@@ -86,3 +90,79 @@ def test_readme_minus_spellings_agree(capsys):
     separate = capsys.readouterr()
     assert main(["analyze", "--map=-x^2+3"]) == 0
     assert capsys.readouterr() == separate
+
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(preper.__path__))
+
+
+def _resolves(path: list[str]) -> bool:
+    """Whether preper.<path[0]>.<path[1]>... exists; the empty path is preper."""
+    if path and path[0] not in MODULES:
+        return False
+    obj = importlib.import_module(".".join(["preper", *path[:1]]))
+    for name in path[1:]:
+        if not hasattr(obj, name):
+            return False
+        obj = getattr(obj, name)
+    return True
+
+
+def _code_names(text: str) -> dict[str, bool]:
+    """The backticked names in text that point into preper, each with whether it resolves.
+
+    A dotted `module.name` or `preper.module.name` names a module of preper
+    and an attribute path in it.  A call `name(...)` or a `_private` name,
+    not one of Python's builtins, must be defined in some module of preper.
+    Fenced code blocks are left out; the command-line tests run those.
+    """
+    prose = re.sub(r"```.*?```", "", text, flags=re.S)
+    names = {}
+    for span in re.findall(r"`([^`]+)`", prose):
+        m = re.fullmatch(r"([A-Za-z_]\w*(?:\.\w+)*)(\(.*\))?", span)
+        if m is None:
+            continue
+        dotted, call = m.groups()
+        path = dotted.split(".")
+        if path[0] == "preper":
+            names[dotted] = _resolves(path[1:])
+        elif len(path) > 1 and path[0] in MODULES:
+            names[dotted] = _resolves(path)
+        elif len(path) == 1 and (call or dotted.startswith("_")):
+            if not hasattr(builtins, dotted):
+                names[dotted] = any(_resolves([module, dotted]) for module in MODULES)
+    return names
+
+
+def test_readme_code_names_resolve():
+    names = _code_names(README)
+    assert {
+        "dynmap.apply",
+        "dynmap.image_pair",
+        "dynmap.image_row",
+        "portrait.default_period_cap",
+        "preper.cli.portrait_from_json",
+        "preper.cli.portrait_to_json_dict",
+        "dynatomic_records",
+        "escape_height",
+        "preperiodic_height_bound",
+        "_bareiss",
+        "preper.qarith",
+    } <= set(names)
+    assert [name for name, ok in names.items() if not ok] == []
+
+
+def test_readme_code_name_check_finds_a_stale_name():
+    text = (
+        "`dynmap.image_row` and `preper.forms` stay, `qarith._wheel` is gone, "
+        "and `str(int)`, `fractions.Fraction` and `Portrait.cycles` are not checked"
+    )
+    assert _code_names(text) == {
+        "dynmap.image_row": True,
+        "preper.forms": True,
+        "qarith._wheel": False,
+    }
+    assert _code_names("`_bareiss` and `escape_height(phi)` but `_gone(x)`") == {
+        "_bareiss": True,
+        "escape_height": True,
+        "_gone": False,
+    }
