@@ -18,9 +18,8 @@ moderate Decimal. `check_bounds` compares a portrait's counts against every
 bound whose hypothesis it satisfies.
 """
 
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
-from typing import Union
+from typing import NamedTuple, Union
 
 from .portrait import Portrait, PortraitCounts, classify
 from .qarith import PrimeSet, ProjPoint, is_s_unit
@@ -33,8 +32,7 @@ LN_PRECISION = 40
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SUnitCertificate:
+class SUnitCertificate(NamedTuple):
     """One checked (tail, periodic) pair.
 
     cycle_length is the length n of the cycle the tail eventually enters,
@@ -54,8 +52,7 @@ class SUnitCertificate:
     excluded: bool
 
 
-@dataclass(frozen=True)
-class CertificateBundle:
+class CertificateBundle(NamedTuple):
     primes: PrimeSet
     primes_complete: bool
     certificates: tuple[SUnitCertificate, ...]
@@ -146,8 +143,7 @@ def thue_mahler_coset_count(form_degree: int, s: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every bound evaluated at a given s = |S| and degree.
 
     per_bound_tails3 applies when the map has at least three rational tail
@@ -222,8 +218,7 @@ def evaluate_bounds(s: int, degree: int) -> BoundReport:
     )
 
 
-@dataclass(frozen=True)
-class BoundCheckItem:
+class BoundCheckItem(NamedTuple):
     """One bound compared against one portrait.
 
     applicable is False when the portrait does not satisfy the bound's

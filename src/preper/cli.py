@@ -26,10 +26,9 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .certify import (
     BoundCheckItem,
@@ -75,8 +74,7 @@ class MapSyntaxError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # 'num', 'x', one of '+-*/^()', or 'end'
     text: str
     pos: int
@@ -91,9 +89,9 @@ def _tokenize(text: str) -> list[_Token]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
             toks.append(_Token("num", src[i:j], i))
             i = j
@@ -221,8 +219,7 @@ def _pneg(a):
     return tuple(-c for c in a)
 
 
-@dataclass(frozen=True)
-class MapExpr:
+class MapExpr(NamedTuple):
     """A parsed map: numerator and denominator as ascending coefficients."""
 
     num: tuple[Fraction, ...]
@@ -259,10 +256,6 @@ def expr_to_text(expr: MapExpr) -> str:
     if expr.den == (Fraction(1),):
         return num
     return f"({num})/({_poly_to_text(expr.den)})"
-
-
-def map_from_expr(expr: MapExpr) -> RationalMap:
-    return build_map(list(expr.num), list(expr.den))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +428,7 @@ def portrait_to_text(portrait: Portrait) -> str:
 
 
 # the evaluated bounds: every BoundReport field after s and degree
-_BOUND_FIELDS = tuple(f.name for f in fields(BoundReport))[2:]
+_BOUND_FIELDS = BoundReport._fields[2:]
 
 
 def bounds_to_json_dict(report: BoundReport, items: Optional[tuple[BoundCheckItem, ...]]) -> dict:
@@ -559,8 +552,7 @@ def _selected_maps(args) -> list[tuple[Optional[str], Optional[RationalMap]]]:
             raise ValueError("formula-only mode needs both --s and --d")
         return [(None, None)]
     if args.map is not None:
-        expr = parse_map(args.map)
-        return [(args.map, map_from_expr(expr))]
+        return [(args.map, build_map(*parse_map(args.map)))]
     if args.family is None:
         raise ValueError("one of --map or --family is required")
     d_values = []

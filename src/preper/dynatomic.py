@@ -15,9 +15,8 @@ carries the formal periods m and, when lambda = -1, 2m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .dynmap import InvariantViolation, RationalMap, apply
 from .forms import BinaryForm, exact_divide, iterate_pairs, period_step, rational_roots
@@ -69,8 +68,7 @@ def _primitive_period_form(form: BinaryForm) -> BinaryForm:
     return form.primitive()
 
 
-@dataclass(frozen=True)
-class DynatomicRecord:
+class DynatomicRecord(NamedTuple):
     """Phi_n = Y*F_n - X*G_n (primitive, degree d^n + 1) and Phi*_n for one n."""
 
     n: int
@@ -154,8 +152,7 @@ def _cycle_multiplier(phi: RationalMap, cycle: list[ProjPoint]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeriodicPoint:
+class PeriodicPoint(NamedTuple):
     """A rational point of primitive period m.
 
     formal_periods are the n <= n_max of the search with Phi*_n(point) = 0.
@@ -167,8 +164,7 @@ class PeriodicPoint:
     formal_periods: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PeriodicSearchResult:
+class PeriodicSearchResult(NamedTuple):
     """Every rational periodic point of primitive period <= n_max.
 
     cycles lists each cycle once, in orbit order from its least point, and

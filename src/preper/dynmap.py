@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .forms import BinaryForm, form_from_poly, rational_roots, resultant, resultant_cofactors
 from .qarith import (
@@ -208,8 +208,7 @@ def preperiodic_height_bound(phi: RationalMap) -> int:
     return min(h, max(D, R_num * D // f0))
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     """Forward orbit of a point until it repeats or passes the escape height.
 
     kind 'preperiodic': points lists the m tail points followed by the n
@@ -261,8 +260,7 @@ def orbit(phi: RationalMap, P: ProjPoint) -> OrbitRecord:
     return OrbitRecord(points=tuple(seq), kind="escaped")
 
 
-@dataclass(frozen=True)
-class PreimageResult:
+class PreimageResult(NamedTuple):
     points: frozenset[ProjPoint]
     complete: bool
 

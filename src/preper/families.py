@@ -14,7 +14,7 @@ statement made about them, point by point, against a computed portrait.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .dynmap import InvariantViolation, RationalMap, apply, build_map
 from .forms import _product
@@ -85,15 +85,13 @@ def family_portrait(spec: FamilySpec, n_max: Optional[int] = None) -> Portrait:
     return build_portrait(generate(spec), n_max)
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     name: str
     holds: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(NamedTuple):
     spec: FamilySpec
     claims: tuple[Claim, ...]
     observed_periodic: int

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, islice, zip_longest
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .qarith import (
     InvariantViolation,
@@ -415,8 +415,7 @@ _SCREEN_PRIME_MIN = 61
 _CANDIDATE_CAP = 200_000
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(NamedTuple):
     """Rational roots with multiplicity, and whether the list is certified full.
 
     complete is True when a screen prime proves that the core has no

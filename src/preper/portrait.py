@@ -23,8 +23,7 @@ points returned are made into ProjPoints.
 """
 
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .dynatomic import PeriodicPoint, rational_periodic_points
 from .dynmap import RationalMap, image_pair, image_row, preimages, preperiodic_height_bound
@@ -47,8 +46,7 @@ def default_period_cap(degree: int) -> int:
     return 4 if degree <= 5 else 3
 
 
-@dataclass(frozen=True)
-class TailRecord:
+class TailRecord(NamedTuple):
     """A strictly preperiodic point and its route into the cycles.
 
     depth is the least k >= 1 with phi^k(point) periodic, image is the single
@@ -62,8 +60,7 @@ class TailRecord:
     entry: ProjPoint
 
 
-@dataclass(frozen=True)
-class CompletenessFlags:
+class CompletenessFlags(NamedTuple):
     """What the portrait computation can vouch for.
 
     roots_complete covers the dynatomic root searches, preimages_complete the
@@ -83,8 +80,7 @@ class CompletenessFlags:
         return self.roots_complete and self.preimages_complete
 
 
-@dataclass(frozen=True)
-class PortraitCounts:
+class PortraitCounts(NamedTuple):
     periodic: int
     tails: int
     preperiodic: int
@@ -93,8 +89,7 @@ class PortraitCounts:
     longest_orbit: int
 
 
-@dataclass(frozen=True)
-class Portrait:
+class Portrait(NamedTuple):
     """All rational preperiodic points of a map, with orbit structure.
 
     cycles are the ones the periodic search walked: each listed once in

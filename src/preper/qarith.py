@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 Rat = Union[Fraction, int]
 
@@ -250,8 +250,7 @@ def _ecm_curve(n: int, sigma: int, b1: int) -> int:
     return g if g != n else 1
 
 
-@dataclass(frozen=True)
-class FactorResult:
+class FactorResult(NamedTuple):
     """Factorization of |n| into certified primes, plus any unfactored rest.
 
     factors: ((p, e), ...) sorted by p; every p passed is_prime.
@@ -290,9 +289,10 @@ def _perfect_root(m: int) -> Optional[tuple[int, int]]:
     """(r, k) with r^k = m for the least k >= 2, else None.
 
     No prime below _TRIAL_BOUND may divide m: then r > 2^9, so k is at most
-    m.bit_length() // 9 and every exponent is tried.
+    m.bit_length() // 9.  The least k is prime, since r^(ab) = (r^b)^a, so
+    only prime k are tried; factor then splits the root, itself maybe a power.
     """
-    for k in range(2, m.bit_length() // 9 + 1):
+    for k in filter(is_prime, range(2, m.bit_length() // 9 + 1)):
         r = integer_root(m, k)
         if r**k == m:
             return r, k
@@ -316,7 +316,7 @@ def factor(n: int) -> FactorResult:
     - trial division by the primes below _TRIAL_BOUND, which proves a
       remainder below its square prime;
     - is_prime (deterministic below 3.3e24) settles a prime remainder, and
-      a perfect power splits into its root, every exponent tried;
+      a perfect power splits into its root, every prime exponent tried;
     - one Brent-cycle Pollard rho attempt of at most _RHO_STEPS steps, which
       splits off factors up to about 30 bits;
     - Lenstra's elliptic-curve method (Lenstra, "Factoring integers with

@@ -18,7 +18,6 @@ from preper.cli import (
     MapSyntaxError,
     expr_to_text,
     main,
-    map_from_expr,
     parse_map,
     portrait_from_json,
     portrait_to_dot,
@@ -81,7 +80,7 @@ def test_parse_leading_minus_negates_the_numerator_of_a_split():
     expr = parse_map("-x^2/(x+1)")
     assert expr.num == (F(0), F(0), F(-1))
     assert expr.den == (F(1), F(1))
-    phi = map_from_expr(parse_map("-(x-1)*(x-2)/x^2"))
+    phi = build_map(*parse_map("-(x-1)*(x-2)/x^2"))
     ex52 = generate(FamilySpec("ex52", 2))
     assert phi.F.coeffs == tuple(-c for c in ex52.F.coeffs)
     assert phi.G == ex52.G
@@ -121,6 +120,18 @@ def test_parse_error_carries_position():
         raise AssertionError("expected a syntax error")
 
 
+@pytest.mark.parametrize("text, pos", [("x^2+2\u00b2", 5), ("x^2+\u0663", 4)])
+def test_parse_takes_only_ascii_digits(text, pos, capsys):
+    # str.isdigit holds for a superscript two and an Arabic-Indic three, but
+    # neither is a digit of the grammar
+    with pytest.raises(MapSyntaxError) as err:
+        parse_map(text)
+    assert err.value.pos == pos
+    assert str(err.value) == f"unexpected character {text[pos]!r} (at position {pos})"
+    assert main(["analyze", "--map", text]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
 def test_parse_rejects_malformed_input():
     for bad in ("", "()", "2x", "x^-1", "x^2^3", "x +", "(x", "x)", "*x", "x^5000"):
         with pytest.raises(MapSyntaxError):
@@ -141,7 +152,7 @@ def test_parse_ignores_whitespace():
 
 
 def test_parsed_map_matches_family_generator():
-    phi = map_from_expr(parse_map("(x-1)*(x-2)/x^2"))
+    phi = build_map(*parse_map("(x-1)*(x-2)/x^2"))
     assert phi == generate(FamilySpec("ex52", 2))
 
 
@@ -328,6 +339,7 @@ def test_json_round_trip_rebuilds_equal_portraits():
         portrait = build_portrait(build_map(num, den), 6)
         rebuilt = portrait_from_json(json.loads(json.dumps(portrait_to_json_dict(portrait))))
         assert rebuilt == portrait
+        assert hash(rebuilt) == hash(portrait)
 
 
 def test_json_round_trip_past_the_int_digit_cap():
@@ -338,6 +350,7 @@ def test_json_round_trip_past_the_int_digit_cap():
     assert portrait.phi.res == 2**16000
     rebuilt = portrait_from_json(json.loads(json.dumps(portrait_to_json_dict(portrait))))
     assert rebuilt == portrait
+    assert hash(rebuilt) == hash(portrait)
     if cap is not None:
         assert sys.get_int_max_str_digits() == cap
 

@@ -204,6 +204,10 @@ def test_arithmetic_and_power():
     assert (f + g) == BinaryForm((2, 0))
     with pytest.raises(ValueError):
         f + BinaryForm((1, 0, 0))
+    # an integer multiple is f.scale(k); a tuple's repetition would be wrong
+    with pytest.raises(TypeError):
+        2 * BinaryForm((1, 2))
+    assert BinaryForm((1, 2)).scale(2) == BinaryForm((2, 4))
 
 
 def test_form_product_matches_schoolbook():

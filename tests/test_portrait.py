@@ -96,7 +96,7 @@ def test_portrait_z2_plus_one():
     port = build_portrait(z_squared_plus_one())
     assert port.points() == [INFINITY]
     counts = classify(port)
-    assert counts == classify(port)  # dataclass equality sanity
+    assert counts == classify(port)  # records compare field by field
     assert (counts.periodic, counts.tails, counts.preperiodic) == (1, 0, 1)
     assert counts.cycle_lengths == (1,)
     assert counts.longest_orbit == 1

@@ -57,6 +57,17 @@ def test_projpoint_rational_round_trip():
         INFINITY.to_rational()
 
 
+def test_projpoint_has_no_order():
+    # points sort by the canonical (y, x) key only; a tuple's (x, y) order
+    # would put 0 = [0 : 1] after [1 : 2] here
+    with pytest.raises(TypeError):
+        sorted([ProjPoint(1, 2), ProjPoint(0, 1)])
+    assert sorted([ProjPoint(1, 2), ProjPoint(0, 1)], key=ProjPoint.sort_key) == [
+        ProjPoint(0, 1),
+        ProjPoint(1, 2),
+    ]
+
+
 def test_is_prime_small_and_carmichael():
     primes_below_100 = [p for p in range(100) if is_prime(p)]
     assert primes_below_100 == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37,
@@ -108,9 +119,16 @@ def test_factor_splits_semiprime_beyond_trial_bound():
 def test_factor_splits_perfect_powers_without_rho(monkeypatch):
     # prime powers beyond the trial bound: the perfect-power branch alone
     # splits them, so with no rho step and no curve they still factor
-    # completely.  1009 is the least prime past the trial bound, and 41 and
-    # 43 are exponents above 37
-    cases = ((10**9 + 7, 5), (2**61 - 1, 2), (1009, 43), (_next_prime(2**40), 41))
+    # completely.  1009 is the least prime past the trial bound, 41 and 43
+    # are exponents above 37, and 9 and 25 are composite exponents
+    cases = (
+        (10**9 + 7, 5),
+        (2**61 - 1, 2),
+        (1009, 43),
+        (_next_prime(2**40), 41),
+        (1009, 9),
+        (1013, 25),
+    )
     for steps, curves in ((qarith._RHO_STEPS, qarith._ECM_CURVES), (0, 0)):
         monkeypatch.setattr(qarith, "_RHO_STEPS", steps)
         monkeypatch.setattr(qarith, "_ECM_CURVES", curves)
@@ -118,6 +136,22 @@ def test_factor_splits_perfect_powers_without_rho(monkeypatch):
             res = factor(p**e)
             assert res.factors == ((p, e),)
             assert res.complete
+
+
+def test_perfect_root_tries_only_prime_exponents(monkeypatch):
+    # the least exponent with an exact root is prime, so on a non-power of
+    # 1800 bits the roots taken are exactly those for the primes up to 200
+    m = (2**521 - 1) * (2**1279 - 1)
+    tried = []
+    root = qarith.integer_root
+
+    def counting_root(n, k):
+        tried.append(k)
+        return root(n, k)
+
+    monkeypatch.setattr(qarith, "integer_root", counting_root)
+    assert qarith._perfect_root(m) is None
+    assert tried == [k for k in range(2, 201) if is_prime(k)]
 
 
 def _next_prime(n: int) -> int:

@@ -107,6 +107,35 @@ def test_factor_sets_its_own_budget():
     assert list(_factor_calls_with_keywords(ast.parse(clean))) == []
 
 
+def _dataclass_names(tree):
+    """Names of the classes decorated with dataclass, bare or called, dotted or not."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+                    yield node.name
+
+
+def test_dataclasses_are_the_value_types():
+    # the value types check their input, or, as RationalMap, must stay
+    # weak-referenceable; every other record is a NamedTuple, which costs
+    # a fraction of a dataclass to define when the package is imported
+    found = [
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for name in _dataclass_names(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert sorted(found) == ["BinaryForm", "FamilySpec", "PrimeSet", "ProjPoint", "RationalMap"]
+    sample = (
+        "@dataclass(frozen=True)\nclass A: pass\n"
+        "@dataclasses.dataclass\nclass B: pass\n"
+        "@total_ordering\nclass C: pass\n"
+        "class D(NamedTuple):\n    x: int\n"
+    )
+    assert list(_dataclass_names(ast.parse(sample))) == ["A", "B"]
+
+
 def _imported_names(tree):
     """(bound name, line) for every import except __future__ ones."""
     for node in ast.walk(tree):
