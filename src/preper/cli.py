@@ -329,6 +329,7 @@ def portrait_to_json_dict(portrait: Portrait) -> dict:
             "roots_complete": portrait.flags.roots_complete,
             "preimages_complete": portrait.flags.preimages_complete,
             "bad_primes_complete": portrait.flags.bad_primes_complete,
+            "scan_height": portrait.flags.scan_height,
         },
     }
 

@@ -178,6 +178,27 @@ class PeriodicSearchResult(NamedTuple):
     roots_complete: bool
 
 
+def _periodic_cycle(
+    phi: RationalMap, cycle: list[ProjPoint], n_max: int
+) -> tuple[list[PeriodicPoint], tuple[ProjPoint, ...]]:
+    """The PeriodicPoints of a cycle already walked, and the cycle from its least point.
+
+    Every point gets the cycle's length m and multiplier lambda; the formal
+    periods are m and, when lambda = -1 and 2m <= n_max, 2m (the theorem in
+    the module docstring).  This is the one way a walked cycle becomes
+    PeriodicPoints, for the Phi*_n search and for the portrait's scan alike.
+    """
+    m = len(cycle)
+    lam = _cycle_multiplier(phi, cycle)
+    formal = (m, 2 * m) if lam == -1 and 2 * m <= n_max else (m,)
+    points = [
+        PeriodicPoint(point=c, primitive_period=m, multiplier=lam, formal_periods=formal)
+        for c in cycle
+    ]
+    i = min(range(m), key=lambda j: cycle[j].sort_key())
+    return points, tuple(cycle[i:] + cycle[:i])
+
+
 def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResult:
     """Search Phi*_n roots for n <= n_max and verify each by iteration.
 
@@ -205,14 +226,9 @@ def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResu
                 raise InvariantViolation(
                     f"primitive period {m} does not divide formal period {n}"
                 )
-            lam = _cycle_multiplier(phi, cycle)
-            formal = (m, 2 * m) if lam == -1 and 2 * m <= n_max else (m,)
-            for c in cycle:
-                found[c] = PeriodicPoint(
-                    point=c, primitive_period=m, multiplier=lam, formal_periods=formal
-                )
-            i = min(range(m), key=lambda j: cycle[j].sort_key())
-            cycles.append(tuple(cycle[i:] + cycle[:i]))
+            points, ordered = _periodic_cycle(phi, cycle, n_max)
+            found.update((pp.point, pp) for pp in points)
+            cycles.append(ordered)
     pts = tuple(sorted(found.values(), key=lambda pp: pp.point.sort_key()))
     cycles.sort(key=lambda c: c[0].sort_key())
     return PeriodicSearchResult(points=pts, cycles=tuple(cycles), roots_complete=complete)

@@ -136,6 +136,8 @@ class BinaryForm:
         return BinaryForm(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: "BinaryForm") -> "BinaryForm":
+        if not isinstance(other, BinaryForm):
+            return NotImplemented
         return BinaryForm(tuple(_product(self.coeffs, other.coeffs)))
 
     def power(self, k: int) -> "BinaryForm":

@@ -1,39 +1,64 @@
 """Complete rational preperiodic portraits.
 
 A preperiodic point is one with a finite forward orbit: after some number of
-steps (its tail depth) it lands on a cycle. The set of rational preperiodic
-points is closed under taking rational preimages, and every rational
-preperiodic point sits above a rational cycle, so the whole portrait can be
-recovered in two stages: find the rational cycles through dynatomic forms,
-then saturate under preimages. Both stages report whether their root searches
-were exhaustive, and the portrait carries those flags.
+steps (its tail depth) it lands on a cycle. No rational preperiodic point
+lies above the map's preperiodic height bound E
+(`dynmap.preperiodic_height_bound`: the Call-Silverman escape height, or for
+a polynomial the smaller bound its places give). `build_portrait` proves a
+portrait complete in one of two ways.
 
-`brute_force_preperiodic` is the independent cross-check: it classifies every
-point up to a height bound by direct iteration, sharing verdicts along orbits
-so large scans stay cheap. No preperiodic point lies above the map's
-preperiodic height bound (`dynmap.preperiodic_height_bound`: the
-Call-Silverman escape height, or for a polynomial the smaller bound its
-places give), so an orbit that passes it wanders, and no point above it is
-ever enumerated or iterated further. The scan walks bare coordinate pairs
-a row (one y) at a time and steps each row through `dynmap.image_row`, the
-one map-step kernel, which checks that gcd(F, G) divides Res(F, G) at every
-pair. Nearly every scanned point leaves the bound in one step; such a point
-is settled by that one step, with no verdict or path kept, and only the
+- The scan to E. When E is small, `brute_force_preperiodic(phi, E)` is the
+  whole set, whatever the cycle lengths, and the portrait is read off it by
+  stepping inside the set. No dynatomic form is built and nothing is
+  factored. The flags record E as scan_height.
+- The dynatomic search. Otherwise the rational cycles of length up to n_max
+  are found as roots of the dynatomic forms Phi*_n, and the set is saturated
+  under rational preimages: the set of rational preperiodic points is closed
+  under them, and every point of it sits above a rational cycle. Both stages
+  report whether their root searches were exhaustive, and the portrait
+  carries those flags.
+
+Both ways keep the cycles of length up to n_max and the tails above them,
+so a portrait does not depend on which one built it.
+
+`brute_force_preperiodic` is also the independent cross-check for the
+search: it classifies every point up to a height bound by direct
+iteration, sharing verdicts along orbits so large scans stay cheap. An
+orbit that passes E wanders, and no point above E is ever enumerated or
+iterated further. The scan walks bare coordinate pairs a row (one y) at a
+time and steps each row through `dynmap.image_row`, the one map-step
+kernel, which checks that gcd(F, G) divides Res(F, G) at every pair.
+Nearly every scanned point leaves the bound in one step; such a point is
+settled by that one step, with no verdict or path kept, and only the
 points returned are made into ProjPoints.
 """
 
 import math
 from typing import Iterator, NamedTuple, Optional
 
-from .dynatomic import PeriodicPoint, rational_periodic_points
-from .dynmap import RationalMap, image_pair, image_row, preimages, preperiodic_height_bound
-from .qarith import ProjPoint
+from .dynatomic import PeriodicPoint, _periodic_cycle, rational_periodic_points
+from .dynmap import (
+    RationalMap,
+    apply,
+    image_pair,
+    image_row,
+    preimages,
+    preperiodic_height_bound,
+)
+from .qarith import InvariantViolation, ProjPoint
 
 MAX_PORTRAIT_POINTS = 10**5
 
+# build_portrait reads the portrait off the scan to the height bound when
+# that scan steps fewer coprime pairs than this, and otherwise searches the
+# dynatomic forms.  For degree-2 rational maps the two paths cross near 500
+# pairs at n_max = 4 and near 2500 at n_max = 6; the budget lies between
+# (BENCH_scan_portrait.json)
+_SCAN_BUDGET = 1000
+
 
 class PortraitOverflowError(RuntimeError):
-    """Raised when preimage saturation exceeds the point budget."""
+    """Raised when a portrait exceeds MAX_PORTRAIT_POINTS points."""
 
 
 def default_period_cap(degree: int) -> int:
@@ -61,19 +86,27 @@ class TailRecord(NamedTuple):
 
 
 class CompletenessFlags(NamedTuple):
-    """What the portrait computation can vouch for.
+    """What the portrait computation can vouch for, and by which proof.
 
-    roots_complete covers the dynatomic root searches, preimages_complete the
-    root searches during preimage saturation, and bad_primes_complete the
-    factorization of the resultant. closed means the portrait provably
-    contains every rational preperiodic point whose cycle length is at most
-    n_max; longer cycles, if any exist, are outside the search horizon.
+    closed means the portrait provably contains every rational preperiodic
+    point whose cycle length is at most n_max; longer cycles, if any exist,
+    are outside the horizon. Two proofs give it:
+    - scan_height is E = preperiodic_height_bound(phi) when the portrait was
+      read off the scan of every point up to E. No rational preperiodic
+      point lies above E, so the scan holds them all, and roots_complete
+      and preimages_complete are True by that theorem.
+    - scan_height is None when the portrait came from the Phi*_n root
+      searches and the preimage closure. roots_complete covers the
+      dynatomic root searches and preimages_complete the root searches
+      during preimage saturation.
+    bad_primes_complete covers the factorization of the resultant.
     """
 
     n_max: int
     roots_complete: bool
     preimages_complete: bool
     bad_primes_complete: bool
+    scan_height: Optional[int] = None
 
     @property
     def closed(self) -> bool:
@@ -92,8 +125,10 @@ class PortraitCounts(NamedTuple):
 class Portrait(NamedTuple):
     """All rational preperiodic points of a map, with orbit structure.
 
-    cycles are the ones the periodic search walked: each listed once in
-    orbit order from its least point, and the cycles by their least points.
+    cycles are the ones of length up to flags.n_max, whether the Phi*_n
+    search or the scan to the height bound found them (flags.scan_height
+    says which): each listed once in orbit order from its least point, and
+    the cycles by their least points. tails are the points above them.
     """
 
     phi: RationalMap
@@ -109,14 +144,35 @@ class Portrait(NamedTuple):
 
 
 def build_portrait(phi: RationalMap, n_max: Optional[int] = None) -> Portrait:
-    """Compute the rational preperiodic portrait of phi.
+    """Compute the rational preperiodic portrait of phi, up to cycle length n_max.
+
+    No rational preperiodic point lies above E = preperiodic_height_bound(phi).
+    When the scan to E steps fewer coprime pairs than _SCAN_BUDGET, the
+    portrait is read off that scan (_scan_portrait). Otherwise cycles of
+    length up to n_max are found from the dynatomic forms and the preimage
+    closure is taken (_search_portrait). Both paths keep the same points, so
+    a portrait does not depend on which path built it; flags.scan_height
+    says which one did.
+    """
+    if n_max is None:
+        n_max = default_period_cap(phi.degree)
+    if n_max < 1:
+        raise ValueError(f"the cycle-length horizon must be at least 1, got {n_max}")
+    height = preperiodic_height_bound(phi)
+    # about 6/pi^2 of the (2E + 1) * E pairs of the rows y = 1..E are
+    # coprime; compared in integers, since E can have thousands of digits
+    if 6079 * (2 * height + 1) * height < 10000 * _SCAN_BUDGET:
+        return _scan_portrait(phi, n_max, height)
+    return _search_portrait(phi, n_max)
+
+
+def _search_portrait(phi: RationalMap, n_max: int) -> Portrait:
+    """The portrait from the Phi*_n root search and the preimage closure.
 
     Cycles of length up to n_max are found first, then the preimage closure
     is taken. Saturation always terminates on genuine inputs because the
     portrait is finite, but a hard cap guards the search anyway.
     """
-    if n_max is None:
-        n_max = default_period_cap(phi.degree)
     search = rational_periodic_points(phi, n_max)
     periodic_points = {pp.point for pp in search.points}
 
@@ -154,6 +210,73 @@ def build_portrait(phi: RationalMap, n_max: Optional[int] = None) -> Portrait:
         phi=phi,
         periodic=search.points,
         cycles=search.cycles,
+        tails=tuple(tails),
+        flags=flags,
+    )
+
+
+def _scan_portrait(phi: RationalMap, n_max: int, height: int) -> Portrait:
+    """The portrait read off the scan to height = preperiodic_height_bound(phi).
+
+    The scan holds every rational preperiodic point, and the image of a
+    preperiodic point is preperiodic, so every image lies in the set; each
+    one is checked. Each point is walked forward until it meets a point
+    already placed or its own path. Meeting its own path closes a new
+    cycle, and every other point of the path hangs above its image, one
+    step deeper and with the same entry. The cycles longer than n_max and
+    the tails above them are dropped, as the Phi*_n search never finds
+    them. No root search runs, so both of its flags hold by the theorem.
+    """
+    points = _preperiodic_up_to(phi, height, height)
+    image = {}
+    for P in points:
+        Q = apply(phi, P)
+        if Q not in points:
+            raise InvariantViolation(f"{P} maps to {Q}, outside the scan to the height bound")
+        image[P] = Q
+    route: dict[ProjPoint, tuple[int, ProjPoint]] = {}  # point -> (depth, entry)
+    periodic: list[PeriodicPoint] = []
+    cycles = []
+    for start in sorted(points, key=ProjPoint.sort_key):
+        path: dict[ProjPoint, int] = {}  # the walk's points, by their step
+        P = start
+        while P not in route and P not in path:
+            path[P] = len(path)
+            P = image[P]
+        walked = list(path)
+        if P in path:
+            cycle = walked[path[P]:]
+            del walked[path[P]:]
+            route.update((c, (0, c)) for c in cycle)
+            if len(cycle) <= n_max:
+                pps, ordered = _periodic_cycle(phi, cycle, n_max)
+                periodic += pps
+                cycles.append(ordered)
+        for R in reversed(walked):
+            depth, entry = route[image[R]]
+            route[R] = (depth + 1, entry)
+    kept = {pp.point for pp in periodic}
+    tails = [
+        TailRecord(point=P, depth=depth, image=image[P], entry=entry)
+        for P, (depth, entry) in route.items()
+        if depth and entry in kept
+    ]
+    if len(kept) + len(tails) > MAX_PORTRAIT_POINTS:
+        raise PortraitOverflowError(f"the portrait exceeded {MAX_PORTRAIT_POINTS} points")
+    periodic.sort(key=lambda pp: pp.point.sort_key())
+    cycles.sort(key=lambda c: c[0].sort_key())
+    tails.sort(key=lambda t: t.point.sort_key())
+    flags = CompletenessFlags(
+        n_max=n_max,
+        roots_complete=True,
+        preimages_complete=True,
+        bad_primes_complete=phi.bad_primes_complete,
+        scan_height=height,
+    )
+    return Portrait(
+        phi=phi,
+        periodic=tuple(periodic),
+        cycles=tuple(cycles),
         tails=tuple(tails),
         flags=flags,
     )
@@ -221,7 +344,11 @@ def brute_force_preperiodic(phi: RationalMap, height_bound: int) -> frozenset[Pr
     stepped. ProjPoints are made only for the points returned.
     """
     cutoff = preperiodic_height_bound(phi)
-    bound = min(height_bound, cutoff)
+    return _preperiodic_up_to(phi, min(height_bound, cutoff), cutoff)
+
+
+def _preperiodic_up_to(phi: RationalMap, bound: int, cutoff: int) -> frozenset[ProjPoint]:
+    """brute_force_preperiodic's scan to bound <= cutoff = preperiodic_height_bound(phi)."""
     verdict: dict[tuple[int, int], bool] = {}
 
     def settle(path: set[tuple[int, int]], x: int, y: int) -> None:

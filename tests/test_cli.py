@@ -342,12 +342,29 @@ def test_json_round_trip_rebuilds_equal_portraits():
         assert hash(rebuilt) == hash(portrait)
 
 
+def test_json_names_the_proof_of_completeness():
+    # scan_height is the height bound when the scan built the portrait and
+    # null after the Phi*_n search; a document without the key still reads
+    scanned = build_portrait(build_map([0, 0, 1], [1]), 6)
+    searched = build_portrait(build_map([-9, 18, 3], [15, 3, -4]), 4)
+    assert scanned.flags.scan_height == 1 and searched.flags.scan_height is None
+    for portrait in (scanned, searched):
+        data = json.loads(json.dumps(portrait_to_json_dict(portrait)))
+        assert data["completeness"]["scan_height"] == portrait.flags.scan_height
+        del data["completeness"]["scan_height"]
+        rebuilt = portrait_from_json(data)
+        assert rebuilt.flags == portrait.flags._replace(scan_height=None)
+
+
 def test_json_round_trip_past_the_int_digit_cap():
     # the resultant 2^16000 has 4817 decimal digits, past Python's default
     # cap of 4300 on str(int) and int(str); the caller's cap comes back
     cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     portrait = build_portrait(build_map([0, 0, 1], [2**8000]), 2)
     assert portrait.phi.res == 2**16000
+    # its height bound 2^8000 is past every float, and the scan budget is
+    # compared in integers: the map goes to the Phi*_n search
+    assert portrait.flags.scan_height is None
     rebuilt = portrait_from_json(json.loads(json.dumps(portrait_to_json_dict(portrait))))
     assert rebuilt == portrait
     assert hash(rebuilt) == hash(portrait)

@@ -204,9 +204,12 @@ def test_arithmetic_and_power():
     assert (f + g) == BinaryForm((2, 0))
     with pytest.raises(ValueError):
         f + BinaryForm((1, 0, 0))
-    # an integer multiple is f.scale(k); a tuple's repetition would be wrong
-    with pytest.raises(TypeError):
+    # an integer multiple is f.scale(k); a tuple's repetition would be
+    # wrong, and neither order of the product may reach for .coeffs
+    with pytest.raises(TypeError, match="unsupported operand"):
         2 * BinaryForm((1, 2))
+    with pytest.raises(TypeError, match="unsupported operand"):
+        BinaryForm((1, 2)) * 2
     assert BinaryForm((1, 2)).scale(2) == BinaryForm((2, 4))
 
 

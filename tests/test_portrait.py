@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from preper import portrait
+from preper import dynatomic, dynmap, forms, portrait, qarith
 from preper.dynmap import (
     DegenerateMapError,
     InvariantViolation,
@@ -29,7 +29,7 @@ from preper.portrait import (
     default_period_cap,
     rational_points_up_to,
 )
-from preper.qarith import INFINITY, ProjPoint
+from preper.qarith import INFINITY, ProjPoint, is_prime
 
 
 def z_squared():
@@ -160,10 +160,30 @@ def test_default_period_cap():
     assert [default_period_cap(degree) for degree in range(2, 10)] == [6, 6, 4, 4, 3, 3, 3, 3]
 
 
+# a budget of no pairs sends every map to the Phi*_n search, and a budget
+# far above every map of the tests sends them all to the scan
+SEARCH_ONLY, SCAN_ONLY = 0, 10**9
+
+
 def test_overflow_guard(monkeypatch):
-    monkeypatch.setattr(portrait, "MAX_PORTRAIT_POINTS", 3)
-    with pytest.raises(PortraitOverflowError):
-        build_portrait(shifted_product_d2(), 3)
+    # the guard bounds both paths: each builds the portrait of 5 points
+    # under the real cap, and refuses it under a cap of 3
+    phi, cap = shifted_product_d2(), portrait.MAX_PORTRAIT_POINTS
+    for budget in (SEARCH_ONLY, SCAN_ONLY):
+        monkeypatch.setattr(portrait, "_SCAN_BUDGET", budget)
+        monkeypatch.setattr(portrait, "MAX_PORTRAIT_POINTS", cap)
+        assert (build_portrait(phi, 3).flags.scan_height is None) == (budget == SEARCH_ONLY)
+        monkeypatch.setattr(portrait, "MAX_PORTRAIT_POINTS", 3)
+        with pytest.raises(PortraitOverflowError):
+            build_portrait(phi, 3)
+
+
+def test_horizon_below_one_is_rejected_on_both_paths(monkeypatch):
+    for budget in (SEARCH_ONLY, SCAN_ONLY):
+        monkeypatch.setattr(portrait, "_SCAN_BUDGET", budget)
+        for n_max in (0, -2):
+            with pytest.raises(ValueError, match="at least 1, got"):
+                build_portrait(z_squared(), n_max)
 
 
 def test_brute_force_against_direct_orbits():
@@ -298,10 +318,10 @@ def test_stray_image_factor_raises_in_apply_and_the_oracle(monkeypatch):
         brute_force_preperiodic(phi, 1)
 
 
-def test_oracle_to_the_height_bound_is_the_whole_portrait():
-    # no preperiodic point of a polynomial lies above its local bound, so the
-    # oracle scanned that far finds every one: on the z^2 + a/b grid and on
-    # seeded polynomials of degree 2-4 it returns the closed portrait's points
+@pytest.fixture(scope="module")
+def searched_polynomials():
+    """(phi, its Phi*_n search portrait at n_max = 4) over the z^2 + a/b grid
+    (b <= 16, |a| <= 40) and 30 seeded polynomials of degree 2-4."""
     maps = [build_map([a, 0, b], [b]) for b in range(1, 17) for a in range(-40, 41) if math.gcd(a, b) == 1]
     rng = random.Random(2024)
     while len(maps) < 791 + 30:
@@ -311,14 +331,78 @@ def test_oracle_to_the_height_bound_is_the_whole_portrait():
             maps.append(build_map(num, [rng.choice((1, 2, 3, 4, 6, -1))]))
         except DegenerateMapError:
             continue
+    return [(phi, portrait._search_portrait(phi, 4)) for phi in maps]
+
+
+def test_oracle_to_the_height_bound_is_the_whole_portrait(searched_polynomials):
+    # no preperiodic point of a polynomial lies above its local bound, so the
+    # oracle scanned that far finds every one: on the z^2 + a/b grid and on
+    # seeded polynomials of degree 2-4 it returns the closed portrait's
+    # points.  The portraits come from the Phi*_n search, so the scan is
+    # not compared with itself
     sizes = Counter()
-    for phi in maps:
-        port = build_portrait(phi, 4)
+    for phi, port in searched_polynomials:
         assert port.flags.closed
         bound = preperiodic_height_bound(phi)
         assert brute_force_preperiodic(phi, bound) == set(port.points()), phi
         sizes[len(port.points())] += 1
     assert min(sizes) == 1 and max(sizes) >= 6, sizes
+
+
+def without_scan_height(port):
+    return port._replace(flags=port.flags._replace(scan_height=None))
+
+
+def test_scan_and_search_build_equal_portraits(monkeypatch, searched_polynomials):
+    # the scan keeps the cycles of length <= n_max and the tails above them,
+    # as the search does, so the two paths give one portrait
+    monkeypatch.setattr(portrait, "_SCAN_BUDGET", SCAN_ONLY)
+    for phi, searched_at_4 in searched_polynomials:
+        height = preperiodic_height_bound(phi)
+        for n_max in (1, 2, 4):
+            scanned = build_portrait(phi, n_max)
+            searched = searched_at_4 if n_max == 4 else portrait._search_portrait(phi, n_max)
+            assert scanned.flags.scan_height == height and searched.flags.closed
+            assert without_scan_height(scanned) == searched, (phi, n_max)
+    # z^2 - 29/16 has a 3-cycle, which the horizons 1 and 2 leave out
+    # together with its tails
+    phi = build_map([-29, 0, 16], [16])
+    cycle_lengths = {n_max: classify(build_portrait(phi, n_max)).cycle_lengths for n_max in (1, 2, 3, 4)}
+    assert cycle_lengths == {1: (1,), 2: (1,), 3: (1, 3), 4: (1, 3)}
+    assert len(build_portrait(phi, 2).points()) < len(build_portrait(phi, 3).points())
+
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def test_small_height_portraits_need_no_root_search_or_factoring(monkeypatch):
+    # (11 - z - z^2 - 10z^3 - 5z^4)/2 and 3z^3 - 9/4 took seconds of Pollard
+    # rho in the Phi*_n search, and z^2 + 1/N with N a product of two large
+    # primes took seconds to factor its end coefficients; each has a height
+    # bound of at most 5.  Once the map is built, nothing may factor or
+    # search for roots
+    N = next_prime(2**15) * next_prime(2**16)
+    maps = [build_map([11, -1, -1, -10, -5], [2]), build_map([-9, 0, 0, 12], [4]), build_map([1, 0, N], [N])]
+
+    def refuse(*args):
+        raise AssertionError("a root search or factoring ran")
+
+    for module in (forms, dynmap, dynatomic, portrait, qarith):
+        for name in ("rational_roots", "factor"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for phi in maps:
+        height = preperiodic_height_bound(phi)
+        assert height <= 5
+        port = build_portrait(phi, 4)
+        assert port.flags.closed and port.flags.bad_primes_complete
+        assert port.flags.scan_height == height
+        assert set(port.points()) == brute_force_preperiodic(phi, height)
+        for P in port.points():
+            assert apply(phi, P) in port.points()
 
 
 def test_planted_fixed_points_near_the_height_bound():
