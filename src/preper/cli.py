@@ -59,6 +59,7 @@ EXIT_DEGENERATE = 3
 EXIT_INVARIANT = 4
 
 MAX_EXPONENT = 4096
+MAX_NESTING = 100  # nested parentheses: the parser recurses once per level
 
 
 class MapSyntaxError(ValueError):
@@ -83,7 +84,7 @@ class _Token(NamedTuple):
 def _tokenize(text: str) -> list[_Token]:
     src = text.replace("−", "-")
     toks = []
-    i = 0
+    i = depth = 0  # depth: the parentheses open at src[i]
     while i < len(src):
         c = src[i]
         if c.isspace():
@@ -99,6 +100,9 @@ def _tokenize(text: str) -> list[_Token]:
             toks.append(_Token("x", c, i))
             i += 1
         elif c in "+-*/^()":
+            depth += (c == "(") - (c == ")")
+            if depth > MAX_NESTING:
+                raise MapSyntaxError(f"parentheses nested deeper than {MAX_NESTING}", i)
             toks.append(_Token(c, c, i))
             i += 1
         else:
@@ -502,6 +506,13 @@ def certificates_to_text(bundle: CertificateBundle) -> str:
 
 
 def oracle_to_json_dict(portrait: Portrait, height: int) -> dict:
+    """The portrait's points up to height against brute_force_preperiodic's.
+
+    Independent of the Phi*_n search but not of the scan: when
+    flags.scan_height is set, this re-runs the scan the portrait was read
+    from, so agree checks only the horizon and the assembly. The tests
+    comparing the scan with portrait._search_portrait cover the point search.
+    """
     brute = brute_force_preperiodic(portrait.phi, height)
     mine = {P for P in portrait.points() if P.height() <= height}
     return {

@@ -167,14 +167,13 @@ class PeriodicPoint(NamedTuple):
 class PeriodicSearchResult(NamedTuple):
     """Every rational periodic point of primitive period <= n_max.
 
-    cycles lists each cycle once, in orbit order from its least point, and
-    the cycles by their least points.  Complete relative to n_max when
-    roots_complete holds; longer cycles are out of scope by definition,
-    which the portrait layer reports.
+    points are sorted by point and hold whole cycles.  Complete relative to
+    n_max when roots_complete holds; longer cycles are out of scope by
+    definition, which the portrait layer reports.  The portrait walks its
+    cycles again from its own point set, so the search lists no cycles.
     """
 
     points: tuple[PeriodicPoint, ...]
-    cycles: tuple[tuple[ProjPoint, ...], ...]
     roots_complete: bool
 
 
@@ -186,7 +185,8 @@ def _periodic_cycle(
     Every point gets the cycle's length m and multiplier lambda; the formal
     periods are m and, when lambda = -1 and 2m <= n_max, 2m (the theorem in
     the module docstring).  This is the one way a walked cycle becomes
-    PeriodicPoints, for the Phi*_n search and for the portrait's scan alike.
+    PeriodicPoints, for the Phi*_n search and for the portrait assembler,
+    which builds every portrait whichever proof found its points.
     """
     m = len(cycle)
     lam = _cycle_multiplier(phi, cycle)
@@ -209,7 +209,6 @@ def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResu
     if n_max < 1:
         raise ValueError(f"the cycle-length horizon must be at least 1, got {n_max}")
     found: dict[ProjPoint, PeriodicPoint] = {}
-    cycles = []
     complete = True
     for rec in dynatomic_records(phi, n_max):
         n = rec.n
@@ -226,9 +225,7 @@ def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResu
                 raise InvariantViolation(
                     f"primitive period {m} does not divide formal period {n}"
                 )
-            points, ordered = _periodic_cycle(phi, cycle, n_max)
+            points, _ = _periodic_cycle(phi, cycle, n_max)
             found.update((pp.point, pp) for pp in points)
-            cycles.append(ordered)
     pts = tuple(sorted(found.values(), key=lambda pp: pp.point.sort_key()))
-    cycles.sort(key=lambda c: c[0].sort_key())
-    return PeriodicSearchResult(points=pts, cycles=tuple(cycles), roots_complete=complete)
+    return PeriodicSearchResult(points=pts, roots_complete=complete)

@@ -1,16 +1,16 @@
 """Complete rational preperiodic portraits.
 
 A preperiodic point is one with a finite forward orbit: after some number of
-steps (its tail depth) it lands on a cycle. No rational preperiodic point
-lies above the map's preperiodic height bound E
-(`dynmap.preperiodic_height_bound`: the Call-Silverman escape height, or for
-a polynomial the smaller bound its places give). `build_portrait` proves a
-portrait complete in one of two ways.
+steps (its tail depth) it lands on a cycle. The rational preperiodic points
+form a finite set that phi maps into itself, and no point of it lies above
+the map's preperiodic height bound E (`dynmap.preperiodic_height_bound`: the
+Call-Silverman escape height, or for a polynomial the smaller bound its
+places give). `build_portrait` proves that set complete in one of two ways,
+which differ only in how they find the points.
 
 - The scan to E. When E is small, `brute_force_preperiodic(phi, E)` is the
-  whole set, whatever the cycle lengths, and the portrait is read off it by
-  stepping inside the set. No dynatomic form is built and nothing is
-  factored. The flags record E as scan_height.
+  whole set, whatever the cycle lengths. No dynatomic form is built and
+  nothing is factored. The flags record E as scan_height.
 - The dynatomic search. Otherwise the rational cycles of length up to n_max
   are found as roots of the dynatomic forms Phi*_n, and the set is saturated
   under rational preimages: the set of rational preperiodic points is closed
@@ -18,8 +18,10 @@ portrait complete in one of two ways.
   report whether their root searches were exhaustive, and the portrait
   carries those flags.
 
-Both ways keep the cycles of length up to n_max and the tails above them,
-so a portrait does not depend on which one built it.
+Either set goes to one assembler, which checks that phi maps it into
+itself, walks each point to its cycle, and keeps the cycles of length up to
+n_max and the tails above them. So a portrait does not depend on which
+proof found its points.
 
 `brute_force_preperiodic` is also the independent cross-check for the
 search: it classifies every point up to a height bound by direct
@@ -34,7 +36,7 @@ points returned are made into ProjPoints.
 """
 
 import math
-from typing import Iterator, NamedTuple, Optional
+from typing import AbstractSet, Iterator, NamedTuple, Optional
 
 from .dynatomic import PeriodicPoint, _periodic_cycle, rational_periodic_points
 from .dynmap import (
@@ -90,15 +92,16 @@ class CompletenessFlags(NamedTuple):
 
     closed means the portrait provably contains every rational preperiodic
     point whose cycle length is at most n_max; longer cycles, if any exist,
-    are outside the horizon. Two proofs give it:
-    - scan_height is E = preperiodic_height_bound(phi) when the portrait was
-      read off the scan of every point up to E. No rational preperiodic
-      point lies above E, so the scan holds them all, and roots_complete
-      and preimages_complete are True by that theorem.
-    - scan_height is None when the portrait came from the Phi*_n root
-      searches and the preimage closure. roots_complete covers the
-      dynatomic root searches and preimages_complete the root searches
-      during preimage saturation.
+    are outside the horizon. The two proofs differ only in how they found
+    the point set:
+    - scan_height is E = preperiodic_height_bound(phi) when the set is the
+      scan of every point up to E. No rational preperiodic point lies above
+      E, so the scan holds them all, and roots_complete and
+      preimages_complete are True by that theorem.
+    - scan_height is None when the set came from the Phi*_n root searches
+      and the preimage closure. roots_complete covers the dynatomic root
+      searches and preimages_complete the root searches during preimage
+      saturation.
     bad_primes_complete covers the factorization of the resultant.
     """
 
@@ -125,9 +128,9 @@ class PortraitCounts(NamedTuple):
 class Portrait(NamedTuple):
     """All rational preperiodic points of a map, with orbit structure.
 
-    cycles are the ones of length up to flags.n_max, whether the Phi*_n
-    search or the scan to the height bound found them (flags.scan_height
-    says which): each listed once in orbit order from its least point, and
+    One assembler builds it from the point set of either proof
+    (flags.scan_height says which). cycles are the ones of length up to
+    flags.n_max, each listed once in orbit order from its least point, and
     the cycles by their least points. tails are the points above them.
     """
 
@@ -148,11 +151,11 @@ def build_portrait(phi: RationalMap, n_max: Optional[int] = None) -> Portrait:
 
     No rational preperiodic point lies above E = preperiodic_height_bound(phi).
     When the scan to E steps fewer coprime pairs than _SCAN_BUDGET, the
-    portrait is read off that scan (_scan_portrait). Otherwise cycles of
-    length up to n_max are found from the dynatomic forms and the preimage
-    closure is taken (_search_portrait). Both paths keep the same points, so
-    a portrait does not depend on which path built it; flags.scan_height
-    says which one did.
+    point set is that scan. Otherwise cycles of length up to n_max are found
+    from the dynatomic forms and the preimage closure is taken
+    (_search_portrait). The one assembler builds the portrait from either
+    set, so a portrait does not depend on which proof found it;
+    flags.scan_height says which one did.
     """
     if n_max is None:
         n_max = default_period_cap(phi.degree)
@@ -162,77 +165,60 @@ def build_portrait(phi: RationalMap, n_max: Optional[int] = None) -> Portrait:
     # about 6/pi^2 of the (2E + 1) * E pairs of the rows y = 1..E are
     # coprime; compared in integers, since E can have thousands of digits
     if 6079 * (2 * height + 1) * height < 10000 * _SCAN_BUDGET:
-        return _scan_portrait(phi, n_max, height)
+        # no root search runs, so both of its flags hold by the theorem
+        points = _preperiodic_up_to(phi, height, height)
+        return _assemble(phi, points, n_max, True, True, scan_height=height)
     return _search_portrait(phi, n_max)
 
 
 def _search_portrait(phi: RationalMap, n_max: int) -> Portrait:
     """The portrait from the Phi*_n root search and the preimage closure.
 
-    Cycles of length up to n_max are found first, then the preimage closure
-    is taken. Saturation always terminates on genuine inputs because the
-    portrait is finite, but a hard cap guards the search anyway.
+    Cycles of length up to n_max are found first, then the set is closed
+    under rational preimages. Saturation always terminates on genuine
+    inputs because the portrait is finite, but a hard cap guards the search
+    anyway.
     """
     search = rational_periodic_points(phi, n_max)
-    periodic_points = {pp.point for pp in search.points}
-
-    # a point first met as a preimage of Q maps to Q, so its depth and entry
-    # follow from Q's: a periodic Q has depth 0 and is its own entry
-    route = {P: (0, P) for P in periodic_points}
-    frontier = sorted(periodic_points, key=ProjPoint.sort_key)
-    tails = []
+    points = {pp.point for pp in search.points}
+    frontier = list(points)
     preimages_complete = True
     while frontier:
         fresh = []
         for Q in frontier:
             pre = preimages(phi, Q)
             preimages_complete = preimages_complete and pre.complete
-            depth, entry = route[Q][0] + 1, route[Q][1]
-            for P in sorted(pre.points, key=ProjPoint.sort_key):
-                if P not in route:
-                    route[P] = (depth, entry)
-                    tails.append(TailRecord(point=P, depth=depth, image=Q, entry=entry))
-                    fresh.append(P)
-        if len(route) > MAX_PORTRAIT_POINTS:
-            raise PortraitOverflowError(
-                f"preimage closure exceeded {MAX_PORTRAIT_POINTS} points"
-            )
+            fresh += [P for P in pre.points if P not in points]
+        points.update(fresh)
+        if len(points) > MAX_PORTRAIT_POINTS:
+            raise PortraitOverflowError(f"preimage closure exceeded {MAX_PORTRAIT_POINTS} points")
         frontier = fresh
-    tails.sort(key=lambda t: t.point.sort_key())
-
-    flags = CompletenessFlags(
-        n_max=n_max,
-        roots_complete=search.roots_complete,
-        preimages_complete=preimages_complete,
-        bad_primes_complete=phi.bad_primes_complete,
-    )
-    return Portrait(
-        phi=phi,
-        periodic=search.points,
-        cycles=search.cycles,
-        tails=tuple(tails),
-        flags=flags,
-    )
+    return _assemble(phi, points, n_max, search.roots_complete, preimages_complete)
 
 
-def _scan_portrait(phi: RationalMap, n_max: int, height: int) -> Portrait:
-    """The portrait read off the scan to height = preperiodic_height_bound(phi).
+def _assemble(
+    phi: RationalMap,
+    points: AbstractSet[ProjPoint],
+    n_max: int,
+    roots_complete: bool,
+    preimages_complete: bool,
+    scan_height: Optional[int] = None,
+) -> Portrait:
+    """The portrait of a set of rational preperiodic points, found by either proof.
 
-    The scan holds every rational preperiodic point, and the image of a
-    preperiodic point is preperiodic, so every image lies in the set; each
-    one is checked. Each point is walked forward until it meets a point
-    already placed or its own path. Meeting its own path closes a new
-    cycle, and every other point of the path hangs above its image, one
-    step deeper and with the same entry. The cycles longer than n_max and
-    the tails above them are dropped, as the Phi*_n search never finds
-    them. No root search runs, so both of its flags hold by the theorem.
+    The image of a preperiodic point is preperiodic, so every image lies in
+    the set; each one is checked. Each point is walked forward until it
+    meets a point already placed or its own path. Meeting its own path
+    closes a new cycle, and every other point of the path hangs above its
+    image, one step deeper and with the same entry. The cycles longer than
+    n_max and the tails above them are dropped, as the Phi*_n search never
+    finds them.
     """
-    points = _preperiodic_up_to(phi, height, height)
     image = {}
     for P in points:
         Q = apply(phi, P)
         if Q not in points:
-            raise InvariantViolation(f"{P} maps to {Q}, outside the scan to the height bound")
+            raise InvariantViolation(f"{P} maps to {Q}, outside the preperiodic set")
         image[P] = Q
     route: dict[ProjPoint, tuple[int, ProjPoint]] = {}  # point -> (depth, entry)
     periodic: list[PeriodicPoint] = []
@@ -268,17 +254,13 @@ def _scan_portrait(phi: RationalMap, n_max: int, height: int) -> Portrait:
     tails.sort(key=lambda t: t.point.sort_key())
     flags = CompletenessFlags(
         n_max=n_max,
-        roots_complete=True,
-        preimages_complete=True,
+        roots_complete=roots_complete,
+        preimages_complete=preimages_complete,
         bad_primes_complete=phi.bad_primes_complete,
-        scan_height=height,
+        scan_height=scan_height,
     )
     return Portrait(
-        phi=phi,
-        periodic=tuple(periodic),
-        cycles=tuple(cycles),
-        tails=tuple(tails),
-        flags=flags,
+        phi=phi, periodic=tuple(periodic), cycles=tuple(cycles), tails=tuple(tails), flags=flags
     )
 
 

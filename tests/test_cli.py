@@ -14,6 +14,7 @@ import pytest
 
 from preper import cli
 from preper.cli import (
+    MAX_NESTING,
     MapExpr,
     MapSyntaxError,
     expr_to_text,
@@ -129,6 +130,24 @@ def test_parse_takes_only_ascii_digits(text, pos, capsys):
     assert err.value.pos == pos
     assert str(err.value) == f"unexpected character {text[pos]!r} (at position {pos})"
     assert main(["analyze", "--map", text]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_parse_bounds_the_nesting_depth(capsys):
+    # deep parentheses would exhaust Python's recursion limit: past
+    # MAX_NESTING levels the opening parenthesis is a syntax error
+    def nested(depth):
+        return "(" * depth + "x^2" + ")" * depth
+
+    assert parse_map(nested(MAX_NESTING)) == parse_map("x^2")
+    for depth in (MAX_NESTING + 1, 200, 5000):
+        with pytest.raises(MapSyntaxError) as err:
+            parse_map(nested(depth))
+        assert err.value.pos == MAX_NESTING
+        assert str(err.value) == (
+            f"parentheses nested deeper than {MAX_NESTING} (at position {MAX_NESTING})"
+        )
+    assert main(["analyze", "--map", nested(200)]) == 2
     assert capsys.readouterr().err == f"error: {err.value}\n"
 
 

@@ -186,6 +186,38 @@ def test_horizon_below_one_is_rejected_on_both_paths(monkeypatch):
                 build_portrait(z_squared(), n_max)
 
 
+def test_search_portrait_goes_through_the_assembler(monkeypatch):
+    # the search only collects points; the assembler checks that phi maps
+    # them into themselves and walks the cycles again from them
+    phi, real_preimages = z_squared(), portrait.preimages
+
+    def stray(phi, Q):
+        pre = real_preimages(phi, Q)
+        if Q == ProjPoint(1, 1):
+            return pre._replace(points=pre.points | {ProjPoint(2, 1)})
+        return pre
+
+    monkeypatch.setattr(portrait, "preimages", stray)
+    with pytest.raises(InvariantViolation, match="2 maps to 4, outside the preperiodic set"):
+        portrait._search_portrait(phi, 2)
+    monkeypatch.undo()
+
+    # a 3-cycle member the search misses comes back from the closure, and
+    # the portrait lists it once, in the cycle and not as a tail
+    phi = shifted_product_d2()
+    whole = portrait._search_portrait(phi, 3)
+    real_search = portrait.rational_periodic_points
+
+    def missing_one(phi, n_max):
+        found = real_search(phi, n_max)
+        return found._replace(points=tuple(pp for pp in found.points if pp.point != INFINITY))
+
+    monkeypatch.setattr(portrait, "rational_periodic_points", missing_one)
+    assert len(missing_one(phi, 3).points) == 2
+    assert portrait._search_portrait(phi, 3) == whole
+    assert whole.cycles == ((INFINITY, ProjPoint(1, 1), ProjPoint(0, 1)),)
+
+
 def test_brute_force_against_direct_orbits():
     # the memoized scan on coordinate pairs must agree with one-orbit-at-a-time
     # classification on ProjPoints. The maps cover: bad prime 2 with image

@@ -197,7 +197,6 @@ DEAD_TRACER_BINDINGS = {
     "preper.dynatomic.compose_pair",
     "preper.dynatomic.dynatomic_record",
     "preper.dynatomic.formal_period_orders",
-    "preper.portrait.apply",
     "preper.certify.apply",
     "preper.cli.apply",
 }
@@ -205,9 +204,10 @@ DEAD_TRACER_BINDINGS = {
 
 def test_bench_tracer_installs():
     # bench/tracing.py wraps functions at the bindings their callers use: a
-    # renamed module makes install raise, and a moved import leaves one more
-    # layer untraced; a fresh process keeps the wrappers there, and -B keeps
-    # bench/ free of bytecode files
+    # renamed module makes install raise, a moved import leaves one more
+    # layer untraced, and a binding that comes back must leave the pinned
+    # set; a fresh process keeps the wrappers there, and -B keeps bench/
+    # free of bytecode files
     script = (
         "import json, sys\n"
         f"sys.path[:0] = [{str(SRC.parent)!r}, {str(ROOT / 'bench')!r}]\n"
@@ -219,4 +219,4 @@ def test_bench_tracer_installs():
     )
     done = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert set(json.loads(done.stdout)) <= DEAD_TRACER_BINDINGS
+    assert set(json.loads(done.stdout)) == DEAD_TRACER_BINDINGS
