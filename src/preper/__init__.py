@@ -21,7 +21,6 @@ from .certify import (
     verify_portrait_bounds,
 )
 from .dynatomic import (
-    PeriodicPoint,
     PeriodicSearchResult,
     formal_period_degree,
     multiplier,
@@ -51,6 +50,7 @@ from .families import (
 from .forms import BinaryForm, form_from_poly, rational_roots, resultant
 from .portrait import (
     CompletenessFlags,
+    PeriodicPoint,
     Portrait,
     PortraitCounts,
     PortraitOverflowError,

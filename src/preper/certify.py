@@ -22,7 +22,7 @@ from decimal import Decimal, localcontext
 from typing import NamedTuple, Union
 
 from .portrait import Portrait, PortraitCounts, classify
-from .qarith import PrimeSet, ProjPoint, is_s_unit
+from .qarith import InvariantViolation, PrimeSet, ProjPoint, is_s_unit
 
 LN_PRECISION = 40
 
@@ -85,7 +85,7 @@ def make_certificates(portrait: Portrait) -> CertificateBundle:
             P = pp.point
             cross = t.point.x * P.y - P.x * t.point.y
             if cross == 0:
-                raise ValueError(f"tail {t.point} coincides with periodic {P}")
+                raise InvariantViolation(f"tail {t.point} coincides with periodic {P}")
             certs.append(
                 SUnitCertificate(
                     tail=t.point,

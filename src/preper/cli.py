@@ -38,15 +38,13 @@ from .certify import (
     evaluate_bounds,
     make_certificates,
 )
-from .dynatomic import PeriodicPoint
 from .dynmap import DegenerateMapError, InvariantViolation, RationalMap, build_map
 from .families import FAMILY_TOKENS, FamilySpec, generate
 from .forms import BinaryForm, _add, _product
 from .portrait import (
-    CompletenessFlags,
     Portrait,
     PortraitOverflowError,
-    TailRecord,
+    _assemble,
     brute_force_preperiodic,
     build_portrait,
     classify,
@@ -171,19 +169,22 @@ class _Parser:
     def term(self):
         out = self.factor()
         while self.peek().kind == "*":
-            self.take()
-            out = _ptrim(_product(out, self.factor()))
+            star = self.take()
+            rhs = self.factor()
+            _check_degree(len(out) + len(rhs) - 2, star)
+            out = _ptrim(_product(out, rhs))
         return out
 
     def factor(self):
         base = self.base()
         if self.peek().kind != "^":
             return base
-        self.take()
+        caret = self.take()
         t = self.expect("num")
         k = int(t.text)
         if k > MAX_EXPONENT:
             raise MapSyntaxError(f"exponent {k} exceeds {MAX_EXPONENT}", t.pos)
+        _check_degree((len(base) - 1) * k, caret)
         out = (Fraction(1),)
         for _ in range(k):
             out = _ptrim(_product(out, base))
@@ -208,6 +209,12 @@ class _Parser:
             self.expect(")")
             return out
         raise MapSyntaxError(f"expected a polynomial, found {t.text or 'end'!r}", t.pos)
+
+
+def _check_degree(degree: int, op: _Token) -> None:
+    """Products and powers stay of degree MAX_EXPONENT at most, checked before they are built."""
+    if degree > MAX_EXPONENT:
+        raise MapSyntaxError(f"degree {degree} exceeds {MAX_EXPONENT}", op.pos)
 
 
 # ascending Fraction tuples: sums and products are the forms kernel's, trimmed
@@ -340,7 +347,12 @@ def portrait_to_json_dict(portrait: Portrait) -> dict:
 
 @_uncapped_int_digits()
 def portrait_from_json(data: dict) -> Portrait:
-    """Rebuild a Portrait from its JSON form, exactly."""
+    """Rebuild a Portrait from its JSON form: its map, points and search flags.
+
+    The portrait assembler builds the rest, so a genuine document comes back
+    exactly, and a point set that phi does not map into itself raises
+    InvariantViolation.  Other completeness keys are ignored.
+    """
     m = data["map"]
     phi = RationalMap(
         F=BinaryForm(tuple(int(c) for c in m["num"])),
@@ -349,25 +361,11 @@ def portrait_from_json(data: dict) -> Portrait:
         bad_primes=PrimeSet(tuple(int(p) for p in m["bad_primes"])),
         res_cofactor=None if m["res_cofactor"] is None else int(m["res_cofactor"]),
     )
-    periodic = tuple(
-        PeriodicPoint(
-            point=_point_from_json(e["point"]),
-            primitive_period=e["period"],
-            multiplier=Fraction(e["multiplier"]),
-            formal_periods=tuple(e["formal_periods"]),
-        )
-        for e in data["periodic"]
+    points = {_point_from_json(e["point"]) for e in data["periodic"] + data["tails"]}
+    c = data["completeness"]
+    return _assemble(
+        phi, points, c["n_max"], c["roots_complete"], c["preimages_complete"], c.get("scan_height")
     )
-    cycles = tuple(tuple(_point_from_json(P) for P in cyc) for cyc in data["cycles"])
-    image = {_point_from_json(e["point"]): _point_from_json(e["image"]) for e in data["tails"]}
-    tails = []
-    for e in data["tails"]:
-        point = entry = _point_from_json(e["point"])
-        for _ in range(e["depth"]):
-            entry = image[entry]
-        tails.append(TailRecord(point=point, depth=e["depth"], image=image[point], entry=entry))
-    flags = CompletenessFlags(**data["completeness"])
-    return Portrait(phi=phi, periodic=periodic, cycles=cycles, tails=tuple(tails), flags=flags)
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,11 @@
 The n-th period form of phi = [F : G] is Phi_n = Y*F_n - X*G_n, whose roots
 are the points of period dividing n.  Phi_n is the product of the dynatomic
 forms Phi*_k over the divisors k of n, so dividing Phi_n by the Phi*_k of its
-proper divisors isolates Phi*_n, whose roots have formal period n.
-A point of primitive period m and multiplier lambda is a root of Phi*_n
-exactly when n = m, or n = m*r with lambda a primitive r-th root of unity
-(Morton and Silverman, "Periodic points, multiplicities, and dynamical
-units", 1995; Silverman, The Arithmetic of Dynamical Systems, Sec. 4.1).
-Over Q that root of unity can only be -1, so a rational periodic point
-carries the formal periods m and, when lambda = -1, 2m.
+proper divisors isolates Phi*_n, whose roots have formal period n: a point
+of primitive period m is a root of Phi*_n only when m divides n.  The
+search returns the verified points of these roots' cycles, and the portrait
+assembler reads their formal periods off the multiplier
+(`portrait.PeriodicPoint`).
 """
 
 from __future__ import annotations
@@ -152,63 +150,29 @@ def _cycle_multiplier(phi: RationalMap, cycle: list[ProjPoint]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class PeriodicPoint(NamedTuple):
-    """A rational point of primitive period m.
-
-    formal_periods are the n <= n_max of the search with Phi*_n(point) = 0.
-    """
-
-    point: ProjPoint
-    primitive_period: int
-    multiplier: Fraction
-    formal_periods: tuple[int, ...]
-
-
 class PeriodicSearchResult(NamedTuple):
-    """Every rational periodic point of primitive period <= n_max.
+    """The rational points of the cycles of length <= n_max, bare.
 
-    points are sorted by point and hold whole cycles.  Complete relative to
-    n_max when roots_complete holds; longer cycles are out of scope by
-    definition, which the portrait layer reports.  The portrait walks its
-    cycles again from its own point set, so the search lists no cycles.
+    Each one is verified by iteration, and the set holds whole cycles.
+    Complete relative to n_max when roots_complete holds; longer cycles are
+    out of scope by definition, which the portrait layer reports.  The
+    portrait assembler walks the cycles again and computes their
+    multipliers and formal periods, so the search keeps none of them.
     """
 
-    points: tuple[PeriodicPoint, ...]
+    points: frozenset[ProjPoint]
     roots_complete: bool
-
-
-def _periodic_cycle(
-    phi: RationalMap, cycle: list[ProjPoint], n_max: int
-) -> tuple[list[PeriodicPoint], tuple[ProjPoint, ...]]:
-    """The PeriodicPoints of a cycle already walked, and the cycle from its least point.
-
-    Every point gets the cycle's length m and multiplier lambda; the formal
-    periods are m and, when lambda = -1 and 2m <= n_max, 2m (the theorem in
-    the module docstring).  This is the one way a walked cycle becomes
-    PeriodicPoints, for the Phi*_n search and for the portrait assembler,
-    which builds every portrait whichever proof found its points.
-    """
-    m = len(cycle)
-    lam = _cycle_multiplier(phi, cycle)
-    formal = (m, 2 * m) if lam == -1 and 2 * m <= n_max else (m,)
-    points = [
-        PeriodicPoint(point=c, primitive_period=m, multiplier=lam, formal_periods=formal)
-        for c in cycle
-    ]
-    i = min(range(m), key=lambda j: cycle[j].sort_key())
-    return points, tuple(cycle[i:] + cycle[:i])
 
 
 def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResult:
     """Search Phi*_n roots for n <= n_max and verify each by iteration.
 
     Whole cycles are closed off even if only one member shows up as a root,
-    so the result is cycle-closed by construction.  Formal periods are read
-    off the multiplier by the theorem in the module docstring.
+    so the result is cycle-closed by construction.
     """
     if n_max < 1:
         raise ValueError(f"the cycle-length horizon must be at least 1, got {n_max}")
-    found: dict[ProjPoint, PeriodicPoint] = {}
+    found: set[ProjPoint] = set()
     complete = True
     for rec in dynatomic_records(phi, n_max):
         n = rec.n
@@ -225,7 +189,5 @@ def rational_periodic_points(phi: RationalMap, n_max: int) -> PeriodicSearchResu
                 raise InvariantViolation(
                     f"primitive period {m} does not divide formal period {n}"
                 )
-            points, _ = _periodic_cycle(phi, cycle, n_max)
-            found.update((pp.point, pp) for pp in points)
-    pts = tuple(sorted(found.values(), key=lambda pp: pp.point.sort_key()))
-    return PeriodicSearchResult(points=pts, roots_complete=complete)
+            found.update(cycle)
+    return PeriodicSearchResult(points=frozenset(found), roots_complete=complete)

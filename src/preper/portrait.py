@@ -19,9 +19,13 @@ which differ only in how they find the points.
   carries those flags.
 
 Either set goes to one assembler, which checks that phi maps it into
-itself, walks each point to its cycle, and keeps the cycles of length up to
-n_max and the tails above them. So a portrait does not depend on which
-proof found its points.
+itself, walks each point to its cycle, keeps the cycles of length up to
+n_max and the tails above them, and reads each kept cycle's multiplier and
+formal periods (PeriodicPoint). So a portrait does not depend on which
+proof found its points. No other code builds a Portrait, PeriodicPoint,
+TailRecord or CompletenessFlags: the Phi*_n search returns bare points,
+and the JSON reader (`cli.portrait_from_json`) reassembles a document's
+point set through the assembler.
 
 `brute_force_preperiodic` is also the independent cross-check for the
 search: it classifies every point up to a height bound by direct
@@ -36,9 +40,10 @@ points returned are made into ProjPoints.
 """
 
 import math
+from fractions import Fraction
 from typing import AbstractSet, Iterator, NamedTuple, Optional
 
-from .dynatomic import PeriodicPoint, _periodic_cycle, rational_periodic_points
+from .dynatomic import _cycle_multiplier, rational_periodic_points
 from .dynmap import (
     RationalMap,
     apply,
@@ -71,6 +76,24 @@ def default_period_cap(degree: int) -> int:
     if degree <= 3:
         return 6
     return 4 if degree <= 5 else 3
+
+
+class PeriodicPoint(NamedTuple):
+    """A rational point of primitive period m, with its cycle's multiplier.
+
+    formal_periods are the n <= n_max with Phi*_n(point) = 0.  A point of
+    primitive period m and multiplier lambda is a root of Phi*_n exactly
+    when n = m, or n = m*r with lambda a primitive r-th root of unity
+    (Morton and Silverman, "Periodic points, multiplicities, and dynamical
+    units", 1995; Silverman, The Arithmetic of Dynamical Systems, Sec. 4.1).
+    Over Q that root of unity can only be -1, so the formal periods are m
+    and, when lambda = -1 and 2m <= n_max, 2m.
+    """
+
+    point: ProjPoint
+    primitive_period: int
+    multiplier: Fraction
+    formal_periods: tuple[int, ...]
 
 
 class TailRecord(NamedTuple):
@@ -180,7 +203,7 @@ def _search_portrait(phi: RationalMap, n_max: int) -> Portrait:
     anyway.
     """
     search = rational_periodic_points(phi, n_max)
-    points = {pp.point for pp in search.points}
+    points = set(search.points)
     frontier = list(points)
     preimages_complete = True
     while frontier:
@@ -212,7 +235,7 @@ def _assemble(
     closes a new cycle, and every other point of the path hangs above its
     image, one step deeper and with the same entry. The cycles longer than
     n_max and the tails above them are dropped, as the Phi*_n search never
-    finds them.
+    finds them. Each kept cycle gets its multiplier and formal periods here.
     """
     image = {}
     for P in points:
@@ -234,10 +257,13 @@ def _assemble(
             cycle = walked[path[P]:]
             del walked[path[P]:]
             route.update((c, (0, c)) for c in cycle)
-            if len(cycle) <= n_max:
-                pps, ordered = _periodic_cycle(phi, cycle, n_max)
-                periodic += pps
-                cycles.append(ordered)
+            m = len(cycle)
+            if m <= n_max:
+                lam = _cycle_multiplier(phi, cycle)
+                formal = (m, 2 * m) if lam == -1 and 2 * m <= n_max else (m,)
+                periodic += [PeriodicPoint(c, m, lam, formal) for c in cycle]
+                i = min(range(m), key=lambda j: cycle[j].sort_key())
+                cycles.append(tuple(cycle[i:] + cycle[:i]))
         for R in reversed(walked):
             depth, entry = route[image[R]]
             route[R] = (depth + 1, entry)

@@ -22,16 +22,17 @@ from preper.certify import (
     unit_equation_count,
     verify_portrait_bounds,
 )
-from preper.dynatomic import (
-    dynatomic_records,
-    formal_period_degree,
-    multiplier,
-    rational_periodic_points,
-)
+from preper.dynatomic import dynatomic_records, formal_period_degree, multiplier
 from preper.dynmap import DegenerateMapError, RationalMap, apply, build_map, escape_height
 from preper.families import FamilySpec, family_portrait, generate, verify_claims
 from preper.forms import iterate_pairs, resultant, root_multiplicity
-from preper.portrait import Portrait, brute_force_preperiodic, build_portrait, classify
+from preper.portrait import (
+    Portrait,
+    _search_portrait,
+    brute_force_preperiodic,
+    build_portrait,
+    classify,
+)
 from preper.qarith import INFINITY, ProjPoint, strip_primes
 
 
@@ -258,8 +259,9 @@ def test_portrait_cycles_are_the_apply_walk():
 
 
 def test_search_multipliers_match_a_fresh_walk():
-    # the search takes each multiplier from the cycle it walked; multiplier()
-    # walks the cycle itself, from each point of it
+    # the assembler takes each multiplier from the cycle it walked, on the
+    # scan path and after the Phi*_n search; multiplier() walks the cycle
+    # itself, from each point of it
     phis = [portrait.phi for _, portrait in corpus_portraits()]
     results = [portrait.periodic for _, portrait in corpus_portraits()]
     seeded = _planted_quadratics(30, 2025)
@@ -271,7 +273,7 @@ def test_search_multipliers_match_a_fresh_walk():
         except DegenerateMapError:
             continue
     phis += seeded
-    results += [rational_periodic_points(phi, 3).points for phi in seeded]
+    results += [_search_portrait(phi, 3).periodic for phi in seeded]
     checked = 0
     for phi, periodic in zip(phis, results):
         for pp in periodic:

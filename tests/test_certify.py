@@ -7,7 +7,7 @@ from decimal import Decimal
 
 import pytest
 
-from preper import certify
+from preper import certify, cli
 from preper.certify import (
     BoundCheckItem,
     check_bounds,
@@ -20,7 +20,7 @@ from preper.certify import (
     unit_equation_pair_count,
     verify_portrait_bounds,
 )
-from preper.dynmap import DegenerateMapError, apply, build_map
+from preper.dynmap import DegenerateMapError, InvariantViolation, apply, build_map
 from preper.portrait import PortraitCounts, build_portrait
 from preper.qarith import INFINITY, PrimeSet, ProjPoint, factor
 
@@ -86,6 +86,19 @@ def test_certificate_excluded_point_uses_full_depth():
     certs = [c for c in bundle.certificates if c.tail == ProjPoint(0, 1)]
     assert certs and all(c.excluded_point == ProjPoint(2, 1) for c in certs)
     assert [c.periodic for c in certs if c.excluded] == [ProjPoint(2, 1)]
+
+
+def test_tail_on_a_periodic_point_is_an_invariant_failure(capsys, monkeypatch):
+    # only a bug can put a tail on a periodic point: the certificates raise
+    # InvariantViolation, and the CLI exits 4, not 2 as for a bad parameter
+    genuine = build_portrait(chebyshev_like())
+    tail = genuine.tails[0]._replace(point=genuine.periodic[0].point)
+    broken = genuine._replace(tails=(tail,) + genuine.tails[1:])
+    with pytest.raises(InvariantViolation, match="coincides with periodic"):
+        make_certificates(broken)
+    monkeypatch.setattr(cli, "build_portrait", lambda phi, n_max: broken)
+    assert cli.main(["certify", "--map", "x^2-2"]) == 4
+    assert "coincides with periodic" in capsys.readouterr().err
 
 
 def test_certificates_empty_without_tails():

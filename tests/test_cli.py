@@ -14,6 +14,7 @@ import pytest
 
 from preper import cli
 from preper.cli import (
+    MAX_EXPONENT,
     MAX_NESTING,
     MapExpr,
     MapSyntaxError,
@@ -149,6 +150,26 @@ def test_parse_bounds_the_nesting_depth(capsys):
         )
     assert main(["analyze", "--map", nested(200)]) == 2
     assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+@pytest.mark.parametrize(
+    "text, pos, degree",
+    [("(x^64+1)^65", 8, 4160), ("x^4096*x", 6, 4097), ("((x^16)^16)^17", 11, 4352)],
+)
+def test_parse_bounds_the_degree_of_products_and_powers(text, pos, degree, capsys):
+    # nesting cannot get round MAX_EXPONENT: it bounds the degree of every
+    # product and power too, checked at the operator before the polynomial
+    # is built
+    with pytest.raises(MapSyntaxError) as err:
+        parse_map(text)
+    assert str(err.value) == f"degree {degree} exceeds {MAX_EXPONENT} (at position {pos})"
+    assert main(["analyze", "--map", text]) == 2
+    assert capsys.readouterr().err == f"error: {err.value}\n"
+
+
+def test_parse_allows_the_degree_bound_itself():
+    for text in ("x^4096", "(x^64+1)^64"):
+        assert len(parse_map(text).num) == MAX_EXPONENT + 1, text
 
 
 def test_parse_rejects_malformed_input():
@@ -356,9 +377,23 @@ def test_json_round_trip_rebuilds_equal_portraits():
         ([1, 1, 0], [1, -4, -3]),  # tails of depth 3 and 4 into a two-cycle
     ]:
         portrait = build_portrait(build_map(num, den), 6)
-        rebuilt = portrait_from_json(json.loads(json.dumps(portrait_to_json_dict(portrait))))
+        data = json.loads(json.dumps(portrait_to_json_dict(portrait)))
+        rebuilt = portrait_from_json(data)
         assert rebuilt == portrait
         assert hash(rebuilt) == hash(portrait)
+        # later documents may carry more flags, which the reader skips
+        data["completeness"]["extra_flag"] = True
+        assert portrait_from_json(data) == portrait
+
+
+def test_json_reader_rejects_points_phi_does_not_map_into_themselves():
+    # the reader reassembles the document's point set: a tail 5 -> 1 added
+    # under z^2 maps to 25, outside the set
+    data = portrait_to_json_dict(build_portrait(build_map([0, 0, 1], [1]), 4))
+    five, one = {"x": "5", "y": "1"}, {"x": "1", "y": "1"}
+    data["tails"].append({"point": five, "depth": 1, "image": one})
+    with pytest.raises(InvariantViolation, match="5 maps to 25, outside the preperiodic set"):
+        portrait_from_json(json.loads(json.dumps(data)))
 
 
 def test_json_names_the_proof_of_completeness():

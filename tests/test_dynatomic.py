@@ -16,7 +16,7 @@ from preper.dynatomic import (
 from preper.dynmap import DegenerateMapError, InvariantViolation, apply, build_map
 from preper.families import FamilySpec, generate
 from preper.forms import BinaryForm, RootResult, exact_divide, root_multiplicity
-from preper.portrait import default_period_cap
+from preper.portrait import _search_portrait, default_period_cap
 from preper.qarith import INFINITY, ProjPoint
 
 # classical table, frozen independently of the library's mobius()
@@ -181,7 +181,7 @@ def test_formal_periods_follow_the_multiplier():
     points = 0
     for phi, n_max in _formal_period_cases():
         records = dynatomic_records(phi, n_max)
-        for pp in rational_periodic_points(phi, n_max).points:
+        for pp in _search_portrait(phi, n_max).periodic:
             points += 1
             vanishing = tuple(
                 rec.n for rec in records if rec.star_form.evaluate_point(pp.point) == 0
@@ -202,7 +202,7 @@ def _formal_period_orders(phi, point, n_max):
 def test_formal_period_orders_simple_fixed_point():
     phi = z_squared()
     assert _formal_period_orders(phi, ProjPoint(1, 1), 4) == {1: 1, 2: 0, 3: 0, 4: 0}
-    found = {pp.point: pp for pp in rational_periodic_points(phi, 4).points}
+    found = {pp.point: pp for pp in _search_portrait(phi, 4).periodic}
     assert found[ProjPoint(1, 1)].formal_periods == (1,)
 
 
@@ -211,14 +211,14 @@ def test_formal_period_orders_multiplier_minus_one():
     phi = z_squared_minus_z()
     assert _formal_period_orders(phi, ProjPoint(0, 1), 4) == {1: 1, 2: 2, 3: 0, 4: 0}
     assert multiplier(phi, ProjPoint(0, 1), 1) == Fraction(-1)
-    found = {pp.point: pp for pp in rational_periodic_points(phi, 4).points}
+    found = {pp.point: pp for pp in _search_portrait(phi, 4).periodic}
     assert found[ProjPoint(0, 1)].formal_periods == (1, 2)
 
 
 def test_at_most_two_formal_periods():
     maps = [z_squared(), z_squared_minus_z(), shifted_product_d2(), reciprocal_family_d1()]
     for phi in maps:
-        for pp in rational_periodic_points(phi, 4).points:
+        for pp in _search_portrait(phi, 4).periodic:
             assert 1 <= len(pp.formal_periods) <= 2
             assert pp.primitive_period in pp.formal_periods
 
@@ -346,7 +346,7 @@ def test_multiplier_matches_quotient_rule_on_random_cycles():
         except DegenerateMapError:
             continue
         cycles = {}
-        for pp in rational_periodic_points(phi, 3).points:
+        for pp in _search_portrait(phi, 3).periodic:
             cycle = [pp.point]
             for _ in range(pp.primitive_period - 1):
                 cycle.append(apply(phi, cycle[-1]))
@@ -378,16 +378,18 @@ def test_multiplier_rejects_wrong_period():
 def test_periodic_search_z2():
     res = rational_periodic_points(z_squared(), 4)
     assert res.roots_complete
-    pts = {pp.point: pp for pp in res.points}
-    assert set(pts) == {ProjPoint(0, 1), ProjPoint(1, 1), INFINITY}
-    assert all(pp.primitive_period == 1 for pp in res.points)
+    assert res.points == {ProjPoint(0, 1), ProjPoint(1, 1), INFINITY}
+    periodic = _search_portrait(z_squared(), 4).periodic
+    assert {pp.point for pp in periodic} == res.points
+    assert all(pp.primitive_period == 1 for pp in periodic)
 
 
 def test_periodic_search_three_cycle():
     res = rational_periodic_points(shifted_product_d2(), 6)
-    pts = {pp.point: pp for pp in res.points}
-    assert set(pts) == {ProjPoint(0, 1), INFINITY, ProjPoint(1, 1)}
-    for pp in res.points:
+    assert res.points == {ProjPoint(0, 1), INFINITY, ProjPoint(1, 1)}
+    periodic = _search_portrait(shifted_product_d2(), 6).periodic
+    assert {pp.point for pp in periodic} == res.points
+    for pp in periodic:
         assert pp.primitive_period == 3
         assert pp.multiplier == 0
         assert pp.formal_periods == (3,)
@@ -395,7 +397,8 @@ def test_periodic_search_three_cycle():
 
 def test_periodic_search_two_cycle():
     res = rational_periodic_points(reciprocal_family_d1(), 4)
-    pts = {pp.point: pp for pp in res.points}
+    pts = {pp.point: pp for pp in _search_portrait(reciprocal_family_d1(), 4).periodic}
+    assert set(pts) == res.points
     assert ProjPoint(1, 1) in pts and pts[ProjPoint(1, 1)].primitive_period == 1
     assert pts[ProjPoint(2, 1)].primitive_period == 2
     assert pts[ProjPoint(1, 2)].primitive_period == 2

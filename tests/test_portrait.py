@@ -210,12 +210,29 @@ def test_search_portrait_goes_through_the_assembler(monkeypatch):
 
     def missing_one(phi, n_max):
         found = real_search(phi, n_max)
-        return found._replace(points=tuple(pp for pp in found.points if pp.point != INFINITY))
+        return found._replace(points=found.points - {INFINITY})
 
     monkeypatch.setattr(portrait, "rational_periodic_points", missing_one)
     assert len(missing_one(phi, 3).points) == 2
     assert portrait._search_portrait(phi, 3) == whole
     assert whole.cycles == ((INFINITY, ProjPoint(1, 1), ProjPoint(0, 1)),)
+
+
+def test_search_portrait_computes_each_multiplier_once(monkeypatch):
+    # the search returns bare points, so only the assembler computes a
+    # multiplier: once for each cycle it keeps
+    phi = generate(FamilySpec("ex52", 3))
+    real, walked = dynatomic._cycle_multiplier, []
+
+    def counted(phi, cycle):
+        walked.append(frozenset(cycle))
+        return real(phi, cycle)
+
+    monkeypatch.setattr(dynatomic, "_cycle_multiplier", counted)
+    monkeypatch.setattr(portrait, "_cycle_multiplier", counted)
+    built = portrait._search_portrait(phi, default_period_cap(phi.degree))
+    assert [len(c) for c in built.cycles] == [3]
+    assert Counter(walked) == Counter(frozenset(c) for c in built.cycles)
 
 
 def test_brute_force_against_direct_orbits():

@@ -136,6 +136,43 @@ def test_dataclasses_are_the_value_types():
     assert list(_dataclass_names(ast.parse(sample))) == ["A", "B"]
 
 
+_PORTRAIT_RECORDS = {"Portrait", "PeriodicPoint", "TailRecord", "CompletenessFlags"}
+
+
+def _record_builds(tree, scope=None):
+    """(innermost enclosing function, record, line) of each call of a portrait record."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in _PORTRAIT_RECORDS:
+                yield scope, name, node.lineno
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        yield from _record_builds(node, inner)
+
+
+def test_one_assembler_builds_the_portrait_records():
+    # the Phi*_n search returns bare points and the JSON reader reassembles
+    # its document, so every portrait record comes from portrait._assemble
+    builds = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for scope, name, line in _record_builds(ast.parse(path.read_text(), filename=str(path))):
+            builds.setdefault((path.name, scope), set()).add(f"{name}:{line}")
+    assembled = builds.pop(("portrait.py", "_assemble"))
+    assert builds == {}
+    assert {b.split(":")[0] for b in assembled} == _PORTRAIT_RECORDS
+    sample = (
+        "def f():\n    return Portrait(phi=1)\n"
+        "def _assemble():\n    def g():\n        return preper.TailRecord(1)\n    return g\n"
+        "flags = CompletenessFlags(7, True, True, True)\n"
+        "p = portrait._replace(tails=())\nclassify(Portrait)\nPortraitCounts(1)\n"
+    )
+    assert [b[:2] for b in _record_builds(ast.parse(sample))] == [
+        ("f", "Portrait"),
+        ("g", "TailRecord"),
+        (None, "CompletenessFlags"),
+    ]
+
+
 def _imported_names(tree):
     """(bound name, line) for every import except __future__ ones."""
     for node in ast.walk(tree):
