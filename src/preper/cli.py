@@ -40,7 +40,7 @@ from .certify import (
 )
 from .dynmap import DegenerateMapError, InvariantViolation, RationalMap, build_map
 from .families import FAMILY_TOKENS, FamilySpec, generate
-from .forms import BinaryForm, _add, _product
+from .forms import _add, _power, _product
 from .portrait import (
     Portrait,
     PortraitOverflowError,
@@ -49,7 +49,7 @@ from .portrait import (
     build_portrait,
     classify,
 )
-from .qarith import PrimeSet, ProjPoint
+from .qarith import ProjPoint
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -185,10 +185,7 @@ class _Parser:
         if k > MAX_EXPONENT:
             raise MapSyntaxError(f"exponent {k} exceeds {MAX_EXPONENT}", t.pos)
         _check_degree((len(base) - 1) * k, caret)
-        out = (Fraction(1),)
-        for _ in range(k):
-            out = _ptrim(_product(out, base))
-        return out
+        return _ptrim(_power(base, k)) if k else (Fraction(1),)  # base^0 is the Fraction 1
 
     def base(self):
         t = self.take()
@@ -347,20 +344,16 @@ def portrait_to_json_dict(portrait: Portrait) -> dict:
 
 @_uncapped_int_digits()
 def portrait_from_json(data: dict) -> Portrait:
-    """Rebuild a Portrait from its JSON form: its map, points and search flags.
+    """Rebuild a Portrait from its JSON form: its two forms, points and search flags.
 
-    The portrait assembler builds the rest, so a genuine document comes back
-    exactly, and a point set that phi does not map into itself raises
-    InvariantViolation.  Other completeness keys are ignored.
+    build_map derives the resultant and bad primes from map.num and map.den,
+    and the portrait assembler builds the rest, so a genuine document comes
+    back exactly.  Every other key is ignored, and nothing read is trusted:
+    a degree below 2 raises DegenerateMapError, a point set that phi does
+    not map into itself InvariantViolation, and an n_max below 1 ValueError.
     """
-    m = data["map"]
-    phi = RationalMap(
-        F=BinaryForm(tuple(int(c) for c in m["num"])),
-        G=BinaryForm(tuple(int(c) for c in m["den"])),
-        res=int(m["resultant"]),
-        bad_primes=PrimeSet(tuple(int(p) for p in m["bad_primes"])),
-        res_cofactor=None if m["res_cofactor"] is None else int(m["res_cofactor"]),
-    )
+    # a form lists X^d first, and build_map takes ascending powers of z
+    phi = build_map(*([int(c) for c in reversed(data["map"][key])] for key in ("num", "den")))
     points = {_point_from_json(e["point"]) for e in data["periodic"] + data["tails"]}
     c = data["completeness"]
     return _assemble(
@@ -577,7 +570,7 @@ def _selected_maps(args) -> list[tuple[Optional[str], Optional[RationalMap]]]:
     elif args.d is not None:
         d_values = [args.d]
     else:
-        raise ValueError("--family needs --d or --d-range")
+        raise ValueError("--family needs --d" + (" or --d-range" if "d_range" in args else ""))
     return [(f"{args.family} d={d}", generate(FamilySpec(args.family, d))) for d in d_values]
 
 

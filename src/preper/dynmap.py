@@ -35,7 +35,7 @@ class DegenerateMapError(ValueError):
 
 @dataclass(frozen=True)
 class RationalMap:
-    """phi = [F : G], deg >= 2, joint content 1, resultant nonzero."""
+    """phi = [F : G], deg >= 2, joint content 1, resultant nonzero; built by build_map."""
 
     F: BinaryForm
     G: BinaryForm

@@ -78,6 +78,18 @@ def _add(u: Sequence[int], v: Sequence[int]) -> list[int]:
     return [x + y for x, y in zip_longest(u, v, fillvalue=0)]
 
 
+def _power(coeffs: Sequence[int], k: int) -> list[int]:
+    """Coefficients of the k-th power of a coefficient list, by square-and-multiply."""
+    out, base = [1], coeffs
+    while k:
+        if k & 1:
+            out = _product(out, base)
+        k >>= 1
+        if k:
+            base = _product(base, base)
+    return out
+
+
 @dataclass(frozen=True)
 class BinaryForm:
     """Homogeneous integer form in X, Y of fixed formal degree."""
@@ -143,14 +155,7 @@ class BinaryForm:
     def power(self, k: int) -> "BinaryForm":
         if k < 0:
             raise ValueError("negative power of a form")
-        result = BinaryForm((1,))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return BinaryForm(tuple(_power(self.coeffs, k)))
 
     def __str__(self) -> str:
         d = self.degree

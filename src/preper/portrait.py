@@ -24,8 +24,8 @@ n_max and the tails above them, and reads each kept cycle's multiplier and
 formal periods (PeriodicPoint). So a portrait does not depend on which
 proof found its points. No other code builds a Portrait, PeriodicPoint,
 TailRecord or CompletenessFlags: the Phi*_n search returns bare points,
-and the JSON reader (`cli.portrait_from_json`) reassembles a document's
-point set through the assembler.
+and the JSON reader (`cli.portrait_from_json`) rebuilds a document's map
+with `dynmap.build_map` and reassembles its point set through the assembler.
 
 `brute_force_preperiodic` is also the independent cross-check for the
 search: it classifies every point up to a height bound by direct
@@ -182,8 +182,6 @@ def build_portrait(phi: RationalMap, n_max: Optional[int] = None) -> Portrait:
     """
     if n_max is None:
         n_max = default_period_cap(phi.degree)
-    if n_max < 1:
-        raise ValueError(f"the cycle-length horizon must be at least 1, got {n_max}")
     height = preperiodic_height_bound(phi)
     # about 6/pi^2 of the (2E + 1) * E pairs of the rows y = 1..E are
     # coprime; compared in integers, since E can have thousands of digits
@@ -236,7 +234,10 @@ def _assemble(
     image, one step deeper and with the same entry. The cycles longer than
     n_max and the tails above them are dropped, as the Phi*_n search never
     finds them. Each kept cycle gets its multiplier and formal periods here.
+    Every portrait passes through here, so this is where an n_max below 1 is refused.
     """
+    if n_max < 1:
+        raise ValueError(f"the cycle-length horizon must be at least 1, got {n_max}")
     image = {}
     for P in points:
         Q = apply(phi, P)

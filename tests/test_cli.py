@@ -1,6 +1,7 @@
 """Tests for the expression parser, subcommands, and output formats."""
 
 import json
+import math
 import os
 import random
 import re
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from preper import cli
+from preper import cli, forms
+from preper.certify import make_certificates
 from preper.cli import (
     MAX_EXPONENT,
     MAX_NESTING,
@@ -25,7 +27,7 @@ from preper.cli import (
     portrait_to_dot,
     portrait_to_json_dict,
 )
-from preper.dynmap import InvariantViolation, build_map
+from preper.dynmap import DegenerateMapError, InvariantViolation, build_map
 from preper.families import FamilySpec, generate
 from preper.portrait import build_portrait, default_period_cap
 from preper.qarith import ProjPoint
@@ -172,6 +174,31 @@ def test_parse_allows_the_degree_bound_itself():
         assert len(parse_map(text).num) == MAX_EXPONENT + 1, text
 
 
+def test_parse_raises_powers_by_repeated_squaring(monkeypatch):
+    # a power takes at most two products per bit of its exponent, counted
+    # at the top level only, so Karatsuba's own recursion is left out; up
+    # to the cube it takes one product per factor, as before
+    real, depth, calls = forms._product, [0], [0]
+
+    def counted(a, b):
+        calls[0] += depth[0] == 0
+        depth[0] += 1
+        try:
+            return real(a, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(forms, "_product", counted)
+    monkeypatch.setattr(cli, "_product", counted)
+    for k in (1, 2, 3, 1000):
+        calls[0] = 0
+        expr = parse_map(f"(x+1)^{k}")
+        assert expr.num == tuple(math.comb(k, i) for i in range(k + 1)), k
+        bound = 2 * math.ceil(math.log2(k)) if k > 3 else k
+        assert calls[0] <= bound and (k > 3 or calls[0] == k), (k, calls)
+    assert parse_map("(x+1)^0") == MapExpr((F(1),), (F(1),))
+
+
 def test_parse_rejects_malformed_input():
     for bad in ("", "()", "2x", "x^-1", "x^2^3", "x +", "(x", "x)", "*x", "x^5000"):
         with pytest.raises(MapSyntaxError):
@@ -258,6 +285,14 @@ def test_exit_code_on_bad_family_parameters(capsys):
     assert main(["analyze"]) == 2
     assert main(["analyze", "--family", "ex52", "--d-range", "4:2"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["analyze", "bounds", "certify", "oracle"])
+def test_family_without_a_parameter_names_only_real_flags(command, capsys):
+    # only analyze has --d-range
+    assert main([command, "--family", "ex52"]) == 2
+    flags = "--d or --d-range" if command == "analyze" else "--d"
+    assert capsys.readouterr() == ("", f"error: --family needs {flags}\n")
 
 
 def test_flag_errors_carry_no_parse_position(capsys):
@@ -381,8 +416,11 @@ def test_json_round_trip_rebuilds_equal_portraits():
         rebuilt = portrait_from_json(data)
         assert rebuilt == portrait
         assert hash(rebuilt) == hash(portrait)
-        # later documents may carry more flags, which the reader skips
+        # later documents may carry more flags, which the reader skips, and
+        # the map's derived keys are not read at all
         data["completeness"]["extra_flag"] = True
+        for key in ("degree", "resultant", "res_cofactor", "bad_primes"):
+            del data["map"][key]
         assert portrait_from_json(data) == portrait
 
 
@@ -394,6 +432,45 @@ def test_json_reader_rejects_points_phi_does_not_map_into_themselves():
     data["tails"].append({"point": five, "depth": 1, "image": one})
     with pytest.raises(InvariantViolation, match="5 maps to 25, outside the preperiodic set"):
         portrait_from_json(json.loads(json.dumps(data)))
+
+
+def _z2_minus_2():
+    """The portrait of z^2 - 2 and its document, decoded from the JSON text."""
+    portrait = build_portrait(build_map([-2, 0, 1], [1]), 4)
+    return portrait, json.loads(json.dumps(portrait_to_json_dict(portrait)))
+
+
+def test_json_reader_derives_the_bad_primes():
+    # the reader rebuilds the map from its forms, so an edited resultant or
+    # bad-prime list changes neither the map nor S = {inf}, Res being 1
+    portrait, data = _z2_minus_2()
+    data["map"].update(resultant="2", bad_primes=["2"])
+    rebuilt = portrait_from_json(data)
+    assert rebuilt == portrait
+    bundle = make_certificates(rebuilt)
+    assert str(bundle.primes) == "{inf}" and bundle.certificates
+    assert bundle == make_certificates(portrait)
+
+
+@pytest.mark.parametrize(
+    "section, edit, error, message",
+    [
+        # X / Y^2 is z, whatever the formal degree of the denominator
+        ("map", {"num": ["1", "0"], "den": ["0", "0", "1"]}, DegenerateMapError, "map degree 1 < 2"),
+        (
+            "completeness",
+            {"n_max": 0},
+            ValueError,
+            "the cycle-length horizon must be at least 1, got 0",
+        ),
+    ],
+)
+def test_json_reader_refuses_what_the_builders_refuse(section, edit, error, message):
+    _, data = _z2_minus_2()
+    data[section].update(edit)
+    with pytest.raises(error) as err:
+        portrait_from_json(data)
+    assert str(err.value) == message
 
 
 def test_json_names_the_proof_of_completeness():

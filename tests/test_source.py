@@ -137,26 +137,34 @@ def test_dataclasses_are_the_value_types():
 
 
 _PORTRAIT_RECORDS = {"Portrait", "PeriodicPoint", "TailRecord", "CompletenessFlags"}
+_MAP_RECORDS = {"RationalMap", "PrimeSet"}
 
 
-def _record_builds(tree, scope=None):
-    """(innermost enclosing function, record, line) of each call of a portrait record."""
+def _record_builds(tree, records=_PORTRAIT_RECORDS, scope=None):
+    """(innermost enclosing function, record, line) of each call of one of the records."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in _PORTRAIT_RECORDS:
+            if name in records:
                 yield scope, name, node.lineno
         inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
-        yield from _record_builds(node, inner)
+        yield from _record_builds(node, records, inner)
+
+
+def _src_builds(records):
+    """{(file, innermost enclosing function): {"record:line", ...}} over src/."""
+    builds = {}
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for scope, name, line in _record_builds(tree, records):
+            builds.setdefault((path.name, scope), set()).add(f"{name}:{line}")
+    return builds
 
 
 def test_one_assembler_builds_the_portrait_records():
     # the Phi*_n search returns bare points and the JSON reader reassembles
     # its document, so every portrait record comes from portrait._assemble
-    builds = {}
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        for scope, name, line in _record_builds(ast.parse(path.read_text(), filename=str(path))):
-            builds.setdefault((path.name, scope), set()).add(f"{name}:{line}")
+    builds = _src_builds(_PORTRAIT_RECORDS)
     assembled = builds.pop(("portrait.py", "_assemble"))
     assert builds == {}
     assert {b.split(":")[0] for b in assembled} == _PORTRAIT_RECORDS
@@ -170,6 +178,20 @@ def test_one_assembler_builds_the_portrait_records():
         ("f", "Portrait"),
         ("g", "TailRecord"),
         (None, "CompletenessFlags"),
+    ]
+
+
+def test_build_map_is_the_one_map_constructor():
+    # the JSON reader rebuilds its map from the two forms too, so no
+    # resultant or bad-prime set is ever taken on trust from a caller
+    builds = _src_builds(_MAP_RECORDS)
+    built = builds.pop(("dynmap.py", "build_map"))
+    assert builds == {}
+    assert {b.split(":")[0] for b in built} == _MAP_RECORDS
+    sample = "def reader(m):\n    return RationalMap(F, G, res, qarith.PrimeSet(()))\n"
+    assert [b[:2] for b in _record_builds(ast.parse(sample), _MAP_RECORDS)] == [
+        ("reader", "RationalMap"),
+        ("reader", "PrimeSet"),
     ]
 
 
